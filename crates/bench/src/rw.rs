@@ -63,6 +63,10 @@ pub struct RwReport {
     pub mismatches: u64,
     /// Post-write invariant checks that failed. Must be zero.
     pub check_failures: u64,
+    /// Writes after which the snapshot they superseded no longer
+    /// serialized to the bytes it had before the write — a mutation leaking
+    /// through storage the two epochs share. Must be zero.
+    pub isolation_failures: u64,
     /// Insert / settext / delete split of the committed writes.
     pub op_mix: [u64; 3],
     /// Nodes renumbered across all writes (gap-exhaustion fallbacks).
@@ -75,6 +79,12 @@ pub struct RwReport {
     /// per-chain footprints proved them safe — the conservative
     /// whole-plan guard would have dropped them.
     pub matches_extra: u64,
+    /// Store records the commits copied because the superseded epoch
+    /// shared their arena chunk (the rest of each epoch is shared).
+    pub records_copied: u64,
+    /// Cached plans whose carry set a commit had to compute (once per
+    /// plan, however many commits it is carried through).
+    pub carry_sets_computed: u64,
     /// Epoch the default database reached.
     pub final_epoch: u64,
     /// Sorted read latencies.
@@ -92,7 +102,10 @@ pub struct RwReport {
 impl RwReport {
     /// No failed ops, no byte mismatches, no invariant violations.
     pub fn clean(&self) -> bool {
-        self.errors == 0 && self.mismatches == 0 && self.check_failures == 0
+        self.errors == 0
+            && self.mismatches == 0
+            && self.check_failures == 0
+            && self.isolation_failures == 0
     }
 
     /// Reads per second of read wall-clock (commit and verification time
@@ -126,7 +139,8 @@ impl RwReport {
              \x20 read qps {:.1}, p50 {:.1?}, p95 {:.1?}; write p50 {:.1?}, p95 {:.1?}\n\
              \x20 plan cache hit rate {:.1}%, {} plan(s) and {} match entr(ies) carried \
              (+{} by precise footprints alone), {} node(s) renumbered\n\
-             \x20 mismatches {}, errors {}, check failures {}\n",
+             \x20 {} store record(s) copied ({:.0} per write), {} carry set(s) computed\n\
+             \x20 mismatches {}, errors {}, check failures {}, isolation failures {}\n",
             self.write_fraction * 100.0,
             self.reads,
             self.writes,
@@ -144,9 +158,13 @@ impl RwReport {
             self.matches_seeded,
             self.matches_extra,
             self.renumbered,
+            self.records_copied,
+            self.records_copied as f64 / self.writes.max(1) as f64,
+            self.carry_sets_computed,
             self.mismatches,
             self.errors,
             self.check_failures,
+            self.isolation_failures,
         )
     }
 
@@ -155,10 +173,11 @@ impl RwReport {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"write_fraction\":{},\"reads\":{},\"writes\":{},\"errors\":{},\
-             \"mismatches\":{},\"check_failures\":{},\
+             \"mismatches\":{},\"check_failures\":{},\"isolation_failures\":{},\
              \"inserts\":{},\"settexts\":{},\"deletes\":{},\
              \"renumbered\":{},\"plans_seeded\":{},\"matches_seeded\":{},\
-             \"matches_extra\":{},\"final_epoch\":{},\"read_qps\":{:.1},\
+             \"matches_extra\":{},\"records_copied\":{},\"carry_sets_computed\":{},\
+             \"final_epoch\":{},\"read_qps\":{:.1},\
              \"read_p50_us\":{},\"read_p95_us\":{},\
              \"write_p50_us\":{},\"write_p95_us\":{},\
              \"plan_cache\":{},\"match_cache\":{},\"exec_stats\":{}}}",
@@ -168,6 +187,7 @@ impl RwReport {
             self.errors,
             self.mismatches,
             self.check_failures,
+            self.isolation_failures,
             self.op_mix[0],
             self.op_mix[1],
             self.op_mix[2],
@@ -175,6 +195,8 @@ impl RwReport {
             self.plans_seeded,
             self.matches_seeded,
             self.matches_extra,
+            self.records_copied,
+            self.carry_sets_computed,
             self.final_epoch,
             self.read_qps(),
             Self::quantile(&self.read_latencies, 0.50).as_micros(),
@@ -297,13 +319,17 @@ fn next_write(db: &Database, rng: &mut StdRng, n: u64) -> UpdateOp {
     UpdateOp::Insert { doc: DOC.into(), parent, xml }
 }
 
-/// Serializes the snapshot's document back to XML and reparses it into a
-/// fresh store — the from-scratch reference every read is checked against.
-fn reparse_reference(snapshot: &Database) -> Database {
+/// The snapshot's workload document serialized back to XML.
+fn document_xml(snapshot: &Database) -> String {
     let doc = snapshot.document_by_name(DOC).expect("snapshot carries the workload document");
-    let xml = xmldb::serialize::serialize_subtree(snapshot, snapshot.root(doc));
+    xmldb::serialize::serialize_subtree(snapshot, snapshot.root(doc))
+}
+
+/// Reparses serialized document XML into a fresh store — the from-scratch
+/// reference every read is checked against.
+fn reparse_reference(xml: &str) -> Database {
     let mut fresh = Database::new();
-    fresh.load_xml(DOC, &xml).expect("reference reparse");
+    fresh.load_xml(DOC, xml).expect("reference reparse");
     fresh
 }
 
@@ -315,7 +341,11 @@ pub fn run_on(db: Arc<Database>, cfg: &RwConfig) -> RwReport {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let write_per_mille = (cfg.write_fraction.clamp(0.0, 1.0) * 1000.0) as u32;
 
-    let mut reference = reparse_reference(&db);
+    // The current snapshot's bytes: the reference is reparsed from them,
+    // and after the next write they must still be what the superseded
+    // snapshot serializes to.
+    let mut snapshot_xml = document_xml(&db);
+    let mut reference = reparse_reference(&snapshot_xml);
     let mut ref_answers: HashMap<usize, String> = HashMap::new();
     let mut report = RwReport {
         write_fraction: cfg.write_fraction,
@@ -324,11 +354,14 @@ pub fn run_on(db: Arc<Database>, cfg: &RwConfig) -> RwReport {
         errors: 0,
         mismatches: 0,
         check_failures: 0,
+        isolation_failures: 0,
         op_mix: [0; 3],
         renumbered: 0,
         plans_seeded: 0,
         matches_seeded: 0,
         matches_extra: 0,
+        records_copied: 0,
+        carry_sets_computed: 0,
         final_epoch: 0,
         read_latencies: Vec::new(),
         write_latencies: Vec::new(),
@@ -339,7 +372,8 @@ pub fn run_on(db: Arc<Database>, cfg: &RwConfig) -> RwReport {
 
     for n in 0..cfg.ops as u64 {
         if rng.random_range(0..1000u32) < write_per_mille {
-            let op = next_write(&svc.database(), &mut rng, n);
+            let superseded = svc.database();
+            let op = next_write(&superseded, &mut rng, n);
             let slot = match op {
                 UpdateOp::Insert { .. } => 0,
                 UpdateOp::SetText { .. } => 1,
@@ -355,12 +389,18 @@ pub fn run_on(db: Arc<Database>, cfg: &RwConfig) -> RwReport {
                     report.plans_seeded += outcome.plans_seeded;
                     report.matches_seeded += outcome.matches_seeded;
                     report.matches_extra += outcome.matches_extra;
+                    report.records_copied += outcome.summary.records_copied as u64;
+                    report.carry_sets_computed += outcome.carry_sets_computed;
                     report.final_epoch = outcome.entry.epoch();
                     let snapshot = svc.database();
                     if xmldb::check_database(&snapshot).is_err() {
                         report.check_failures += 1;
                     }
-                    reference = reparse_reference(&snapshot);
+                    if document_xml(&superseded) != snapshot_xml {
+                        report.isolation_failures += 1;
+                    }
+                    snapshot_xml = document_xml(&snapshot);
+                    reference = reparse_reference(&snapshot_xml);
                     ref_answers.clear();
                 }
                 Err(_) => report.errors += 1,

@@ -79,7 +79,7 @@ pub fn db_prefix(db: &str) -> String {
 }
 
 /// A plan-cache value: the compiled, verified plan plus its lazily-lowered
-/// register program (see [`tlc::vm`]).
+/// register program (see [`tlc::vm`]) and lazily-computed carry set.
 ///
 /// The program is compiled at most once per cache entry — i.e. once per
 /// `(database, epoch, normalized text)` — on the first request that
@@ -89,17 +89,33 @@ pub fn db_prefix(db: &str) -> String {
 /// footprint-disjointness carry in [`crate::Service::apply_update`])
 /// brings its compiled program along for free. A plan the lowerer rejects
 /// records `None` once and the service falls back to the tree walker for
-/// that entry without retrying per request.
+/// that entry without retrying per request. The carry set follows the same
+/// once-per-entry rule: the first commit that sees the entry computes it,
+/// and every later commit the entry is carried through reuses it.
 #[derive(Debug)]
 pub struct CachedPlan {
     plan: Arc<tlc::Plan>,
     program: OnceLock<Option<Arc<tlc::vm::Program>>>,
+    carry: OnceLock<CarrySet>,
 }
 
 impl CachedPlan {
-    /// Wraps a freshly compiled plan; the program is lowered on demand.
+    /// Wraps a freshly compiled plan; the program is lowered, and the
+    /// carry set computed, on demand.
     pub fn new(plan: Arc<tlc::Plan>) -> CachedPlan {
-        CachedPlan { plan, program: OnceLock::new() }
+        CachedPlan { plan, program: OnceLock::new(), carry: OnceLock::new() }
+    }
+
+    /// The plan's [`CarrySet`], computing it on first call. The flag is
+    /// `true` exactly when this call did the computing, so the caller can
+    /// count computations without double counting.
+    pub(crate) fn carry_set(&self) -> (&CarrySet, bool) {
+        let mut computed = false;
+        let set = self.carry.get_or_init(|| {
+            computed = true;
+            CarrySet::new(&self.plan)
+        });
+        (set, computed)
     }
 
     /// The verified logical plan.
@@ -121,6 +137,68 @@ impl CachedPlan {
             compiled
         });
         (program.clone(), compile_time)
+    }
+}
+
+/// Everything a commit needs to decide which of a cached plan's cache
+/// entries survive a mutation: the plan's whole read footprint and, per
+/// match-cache chain key, the footprint of exactly that chain
+/// ([`tlc::match_chain_footprints`]). Both are static properties of the
+/// plan, so one computation serves every epoch the plan lives through.
+#[derive(Debug)]
+pub(crate) struct CarrySet {
+    footprint: tlc::Footprint,
+    chains: Vec<(String, tlc::Footprint)>,
+}
+
+/// What one mutation leaves of one cached plan ([`CarrySet::decide`]).
+#[derive(Debug)]
+pub(crate) struct CarryDecision<'a> {
+    /// The plan itself carries into the new epoch.
+    pub plan: bool,
+    /// Chain keys whose match entries carry into the new epoch.
+    pub chains: Vec<&'a str>,
+    /// The whole-plan footprint could not justify `chains`; only the
+    /// per-chain footprints could.
+    pub precise_only: bool,
+}
+
+impl CarrySet {
+    /// Computes the whole-plan and per-chain footprints of `plan`.
+    pub(crate) fn new(plan: &tlc::Plan) -> CarrySet {
+        CarrySet { footprint: tlc::plan_footprint(plan), chains: tlc::match_chain_footprints(plan) }
+    }
+
+    /// Decides what survives a mutation of document `doc` that changed
+    /// `affected_tags` and renumbered `renumbered` pre-existing nodes.
+    ///
+    /// A plan survives when its footprint is disjoint from the mutation:
+    /// plans (and their lowered programs) bind tag ids and document names,
+    /// never node ordinals. Match entries additionally embed node ordinals,
+    /// so a chain entry survives only if its chain never reads `doc`, or
+    /// the mutation renumbered nothing and the chain's footprint is
+    /// disjoint from it. Every chain's footprint is a subset of the plan's,
+    /// so when the plan's footprint passes that test all chains do.
+    pub(crate) fn decide(
+        &self,
+        doc: &str,
+        affected_tags: &[xmldb::TagId],
+        renumbered: usize,
+    ) -> CarryDecision<'_> {
+        let survives = |fp: &tlc::Footprint| {
+            !fp.docs.contains(doc) || (renumbered == 0 && !fp.overlaps(doc, affected_tags))
+        };
+        let whole = survives(&self.footprint);
+        CarryDecision {
+            plan: !self.footprint.overlaps(doc, affected_tags),
+            chains: self
+                .chains
+                .iter()
+                .filter(|(_, fp)| whole || survives(fp))
+                .map(|(key, _)| key.as_str())
+                .collect(),
+            precise_only: !whole,
+        }
     }
 }
 
@@ -397,10 +475,15 @@ impl MatchStore {
     /// passing chain keys whose entries provably survive the mutation (see
     /// [`tlc::match_chain_keys`] and [`tlc::Footprint`]); this method is
     /// pure key plumbing.
-    pub fn carry(&self, from_prefix: &str, to_prefix: &str, chain_keys: &[String]) -> u64 {
+    pub fn carry<K: AsRef<str>>(
+        &self,
+        from_prefix: &str,
+        to_prefix: &str,
+        chain_keys: &[K],
+    ) -> u64 {
         let mut inner = self.inner.lock().unwrap();
         let mut carried = 0u64;
-        for key in chain_keys {
+        for key in chain_keys.iter().map(AsRef::as_ref) {
             if let Some((value, cost)) = inner.peek(&format!("{from_prefix}{key}")) {
                 inner.insert_weighted(&format!("{to_prefix}{key}"), value, cost);
                 carried += 1;

@@ -411,6 +411,10 @@ pub struct UpdateOutcome {
     pub matches_extra: u64,
     /// Plan-cache entries of superseded epochs purged after seeding.
     pub plans_invalidated: u64,
+    /// Cached plans whose carry set (the plan's whole and per-chain
+    /// footprints) this commit had to compute
+    /// (first commit to see the plan); every other plan reused its set.
+    pub carry_sets_computed: u64,
 }
 
 /// The concurrent query service. See the crate docs for the architecture.
@@ -593,6 +597,12 @@ impl Service {
     /// next epoch. In-flight readers keep the snapshot they resolved;
     /// nothing they hold changes under them.
     ///
+    /// The clone shares structure with the snapshot it came from (see
+    /// [`xmldb::Database`]): the mutation copies only the arena chunks,
+    /// posting lists and value partitions it changes, so a commit costs
+    /// O(mutation) rather than O(database). Consecutive epochs share
+    /// everything else.
+    ///
     /// Unlike a wholesale hot swap, an update knows exactly what it
     /// touched, so the caches are **selectively** invalidated rather than
     /// flushed: every cached plan of the superseded epoch whose static
@@ -605,12 +615,14 @@ impl Service {
     /// ([`xmldb::UpdateSummary::renumbered`]) nothing in the mutated
     /// document's match entries survives, while plans (which bind only tag
     /// ids and document names) still carry. Everything not carried is
-    /// purged.
+    /// purged. The footprints come from each cached plan's
+    /// carry set, computed once per plan rather than per commit.
     ///
     /// Updates serialize against each other on an internal commit lock;
     /// queries never take it.
     pub fn apply_update(&self, db: &str, op: &UpdateOp) -> Result<UpdateOutcome, ServiceError> {
         let _commit = self.commit.lock().unwrap();
+        let started = Instant::now();
         let base = self.entry(db)?;
         let mut next: Database = (**base.database()).clone();
         let doc =
@@ -631,41 +643,26 @@ impl Service {
         let all = cache::db_prefix(entry.name());
         let stale = |key: &str| key.starts_with(&all) && !key.starts_with(&new_prefix);
         let mut plans_seeded = 0u64;
+        let mut carry_sets_computed = 0u64;
         let mut carry_keys: Vec<String> = Vec::new();
         let mut extra_keys: Vec<String> = Vec::new();
         let plans_invalidated = {
             let mut plans = self.cache.lock().unwrap();
             for (key, cached) in plans.collect_prefixed(&old_prefix) {
-                let fp = tlc::plan_footprint(cached.plan());
-                let disjoint = !fp.overlaps(op.doc(), &summary.affected_tags);
-                if disjoint {
-                    let text = &key[old_prefix.len()..];
+                let (carry, computed) = cached.carry_set();
+                carry_sets_computed += u64::from(computed);
+                let decision = carry.decide(op.doc(), &summary.affected_tags, summary.renumbered);
+                // Per-chain footprints can still prove chains of an
+                // overlapping plan untouched; those count as extra.
+                let keys = if decision.precise_only { &mut extra_keys } else { &mut carry_keys };
+                keys.extend(decision.chains.iter().map(|k| k.to_string()));
+                if decision.plan {
                     // Re-seeding the same `Arc<CachedPlan>` carries the
-                    // lazily-lowered IR program across the epoch for free:
-                    // plans (and programs) bind tag ids and document
-                    // names, never node ordinals, so footprint
-                    // disjointness covers both.
-                    plans.insert(&format!("{new_prefix}{text}"), cached.clone());
+                    // lazily-lowered IR program and the carry set across
+                    // the epoch for free.
+                    let text = &key[old_prefix.len()..];
+                    plans.insert(&format!("{new_prefix}{text}"), Arc::clone(&cached));
                     plans_seeded += 1;
-                }
-                // Match entries embed node ordinals; a renumbering update
-                // invalidates every entry reading the mutated document,
-                // footprint disjointness notwithstanding.
-                if !fp.docs.contains(op.doc()) || (summary.renumbered == 0 && disjoint) {
-                    carry_keys.extend(tlc::match_chain_keys(cached.plan()));
-                } else {
-                    // The whole-plan footprint overlaps the mutation, but a
-                    // plan mixes chains over several documents and tag sets:
-                    // the per-chain precise footprints can still prove
-                    // individual cached chains untouched.
-                    for (chain_key, cfp) in tlc::match_chain_footprints(cached.plan()) {
-                        let chain_disjoint = !cfp.overlaps(op.doc(), &summary.affected_tags);
-                        if !cfp.docs.contains(op.doc())
-                            || (summary.renumbered == 0 && chain_disjoint)
-                        {
-                            extra_keys.push(chain_key);
-                        }
-                    }
                 }
             }
             plans.purge_where(stale)
@@ -683,6 +680,12 @@ impl Service {
         });
         self.metrics.record_swap(entry.name(), plans_invalidated);
         self.metrics.record_update(entry.name(), plans_seeded, matches_seeded, matches_extra);
+        self.metrics.record_commit(
+            entry.name(),
+            started.elapsed(),
+            summary.records_copied as u64,
+            carry_sets_computed,
+        );
         Ok(UpdateOutcome {
             entry,
             summary,
@@ -690,6 +693,7 @@ impl Service {
             matches_seeded,
             matches_extra,
             plans_invalidated,
+            carry_sets_computed,
         })
     }
 
@@ -1763,6 +1767,49 @@ mod tests {
         assert_eq!(resp.stats.match_cache_hits, 0, "{:?}", resp.stats);
         assert!(resp.stats.pattern_matches > 0, "must re-match against new ordinals");
         assert_eq!(resp.output, reference, "<b> subtree is untouched by the updates");
+    }
+
+    #[test]
+    fn carry_sets_are_computed_once_per_cached_plan() {
+        let svc = tiny_service(ServiceConfig::default());
+        const QB: &str = r#"FOR $i IN document("auction.xml")//item RETURN $i/location"#;
+        const QC: &str = r#"FOR $c IN document("auction.xml")//category RETURN $c/name"#;
+        svc.execute(QB).unwrap();
+        svc.execute(QC).unwrap();
+        let mut computed = 0;
+        for round in 0..5 {
+            let person = svc.database().nodes_with_tag("person")[0];
+            let op = UpdateOp::Insert {
+                doc: "auction.xml".into(),
+                parent: person.pre,
+                xml: format!("<phone>555-01{round:02}</phone>"),
+            };
+            let outcome = svc.apply_update(DEFAULT_DB, &op).unwrap();
+            assert_eq!(outcome.plans_seeded, 2, "round {round}: both plans are disjoint");
+            computed += outcome.carry_sets_computed;
+            if round == 0 {
+                assert_eq!(outcome.carry_sets_computed, 2, "first commit computes both sets");
+            }
+        }
+        assert_eq!(computed, 2, "carried plans reuse their carry sets");
+        // A plan compiled after the commits gets its set at the next one.
+        svc.execute(Q).unwrap();
+        let age = svc.database().nodes_with_tag("phone")[0];
+        let op = UpdateOp::SetText { doc: "auction.xml".into(), pre: age.pre, text: "x".into() };
+        assert_eq!(svc.apply_update(DEFAULT_DB, &op).unwrap().carry_sets_computed, 1);
+        let snap = svc.metrics_snapshot();
+        let c = snap.db(DEFAULT_DB).expect("per-db counters");
+        assert_eq!((c.updates, c.carry_sets_computed), (6, 3));
+        assert!(c.records_copied > 0, "every commit copies the chunks it edits");
+        assert_eq!(snap.commit.count(), 6);
+        let report = svc.metrics_report();
+        assert!(report.contains("3 carry set(s) computed"), "{report}");
+        assert!(report.contains("commits: count=6"), "{report}");
+        // The answers still match a from-scratch evaluation.
+        for q in [Q, QB, QC] {
+            let expect = baselines::run(Engine::Tlc, q, &svc.database()).unwrap();
+            assert_eq!(svc.execute(q).unwrap().output, expect);
+        }
     }
 
     #[test]

@@ -152,6 +152,12 @@ pub struct DbCounters {
     /// Requests served by the intra-query sharding path (the per-database
     /// parallel-QPS numerator; the caller divides by its own wall clock).
     pub parallel_requests: u64,
+    /// Store records commits copied because an older epoch shared their
+    /// arena chunk ([`xmldb::UpdateSummary::records_copied`]).
+    pub records_copied: u64,
+    /// Cached plans whose carry set a commit had to compute; each plan's
+    /// set is computed once and reused by every later commit.
+    pub carry_sets_computed: u64,
 }
 
 #[derive(Debug, Default)]
@@ -178,6 +184,7 @@ struct Inner {
     ir_compiles: u64,
     ir_cache_hits: u64,
     ir_compile: Histogram,
+    commit: Histogram,
     shards_executed: u64,
     shard_fallback_sequential: u64,
     merge: Histogram,
@@ -286,6 +293,23 @@ impl Metrics {
         entry.matches_extra += matches_extra;
     }
 
+    /// Records one committed update's wall time (clone, mutate, publish,
+    /// carry and purge, under the commit lock), the store records it had
+    /// to copy, and how many carry sets it computed.
+    pub fn record_commit(
+        &self,
+        db: &str,
+        took: Duration,
+        records_copied: u64,
+        carry_sets_computed: u64,
+    ) {
+        let mut m = self.inner.lock().unwrap();
+        m.commit.record(took);
+        let entry = m.per_db.entry(db.into()).or_default();
+        entry.records_copied += records_copied;
+        entry.carry_sets_computed += carry_sets_computed;
+    }
+
     /// Records one IR lowering: a cached plan was compiled into a
     /// [`tlc::vm::Program`] (this happens at most once per plan-cache
     /// entry), taking `took` of the requesting caller's wall clock.
@@ -350,6 +374,7 @@ impl Metrics {
             ir_compiles: m.ir_compiles,
             ir_cache_hits: m.ir_cache_hits,
             ir_compile: m.ir_compile.clone(),
+            commit: m.commit.clone(),
             shards_executed: m.shards_executed,
             shard_fallback_sequential: m.shard_fallback_sequential,
             merge: m.merge.clone(),
@@ -390,6 +415,10 @@ impl Metrics {
                 out.push_str(&format!(
                     "  db {name}: {} update(s), {} plan(s) and {} match entr(ies) carried across epochs\n",
                     c.updates, c.plans_seeded, c.matches_seeded
+                ));
+                out.push_str(&format!(
+                    "  db {name}: {} store record(s) copied by commits, {} carry set(s) computed\n",
+                    c.records_copied, c.carry_sets_computed
                 ));
             }
             if c.parallel_requests > 0 {
@@ -455,6 +484,16 @@ impl Metrics {
                 m.ir_compile.mean(),
                 m.ir_compile.quantile(0.95),
                 m.ir_compile.max()
+            ));
+        }
+        if m.commit.count() > 0 {
+            out.push_str(&format!(
+                "commits: count={} mean={:?} p50={:?} p95={:?} max={:?}\n",
+                m.commit.count(),
+                m.commit.mean(),
+                m.commit.quantile(0.50),
+                m.commit.quantile(0.95),
+                m.commit.max()
             ));
         }
         if m.merge.count() > 0 || m.shard_fallback_sequential > 0 {
@@ -537,6 +576,8 @@ pub struct Snapshot {
     pub ir_cache_hits: u64,
     /// Per-lowering compile-time histogram.
     pub ir_compile: Histogram,
+    /// Per-commit wall time of [`crate::Service::apply_update`].
+    pub commit: Histogram,
     /// Shard jobs run by the intra-query sharding path, summed over every
     /// sharded request (stage jobs included).
     pub shards_executed: u64,

@@ -63,10 +63,14 @@ pub fn check_document(doc: &Document) -> Result<()> {
 /// verifies they strictly increase in arena order, that every interval is
 /// properly nested inside — and disjoint within — its parent's, and that a
 /// node's `end` slack never swallows a following node.
-pub fn check_records(name: &str, records: &[NodeRecord]) -> Result<()> {
+pub fn check_records<'a>(
+    name: &str,
+    records: impl IntoIterator<Item = &'a NodeRecord>,
+) -> Result<()> {
     let corrupt =
         |pre: u32, detail: String| Err(Error::Corrupt(format!("{name:?} node {pre}: {detail}")));
-    let Some(root) = records.first() else {
+    let mut records = records.into_iter();
+    let Some(root) = records.next() else {
         return Err(Error::Corrupt(format!("{name:?}: document has no records")));
     };
     if root.kind != NodeKind::DocRoot {
@@ -75,67 +79,56 @@ pub fn check_records(name: &str, records: &[NodeRecord]) -> Result<()> {
     if root.pre != 0 || root.parent != u32::MAX || root.level != 0 {
         return corrupt(0, "document root must have ord 0, no parent, and level 0".into());
     }
-    if root.end < records.last().expect("non-empty").pre {
-        return corrupt(
-            0,
-            format!(
-                "root interval ends at {} before last node ord {}",
-                root.end,
-                records.last().expect("non-empty").pre
-            ),
-        );
-    }
-    // The stack holds the arena indexes of the open intervals (ancestors of
-    // the current node), innermost last.
-    let mut stack: Vec<usize> = vec![0];
-    for (i, rec) in records.iter().enumerate().skip(1) {
+    // The stack holds the open intervals (ancestors of the current node) as
+    // `(pre, end, kind)`, innermost last.
+    let mut stack: Vec<(u32, u32, NodeKind)> = vec![(root.pre, root.end, root.kind)];
+    let mut prev = root.pre;
+    for rec in records {
         let pre = rec.pre;
         if rec.kind == NodeKind::DocRoot {
             return corrupt(pre, "only node 0 may be a document root".into());
         }
-        if pre <= records[i - 1].pre {
-            return corrupt(pre, format!("pre ord not above predecessor {}", records[i - 1].pre));
+        if pre <= prev {
+            return corrupt(pre, format!("pre ord not above predecessor {prev}"));
+        }
+        prev = pre;
+        if pre > root.end {
+            return corrupt(0, format!("root interval ends at {} before node ord {pre}", root.end));
         }
         // Property 1 (well-formed interval).
         if rec.end < pre {
             return corrupt(pre, format!("bad interval end {}", rec.end));
         }
         // Close every interval that ended before this node.
-        while records[*stack.last().expect("root never popped")].end < pre {
+        while stack.last().expect("root never popped").1 < pre {
             stack.pop();
         }
-        let top = &records[*stack.last().expect("root interval spans the document")];
+        let &(top_pre, top_end, top_kind) = stack.last().expect("root interval spans the document");
+        // Leaves may carry end slack, but no descendant.
+        if matches!(top_kind, NodeKind::Attribute | NodeKind::Text) {
+            return corrupt(top_pre, format!("{top_kind:?} node must be a leaf"));
+        }
         // Property 2: the recorded parent must be the innermost open
         // interval. Combined with the nesting check below, this makes
         // interval containment coincide with ancestorship and forces sibling
         // intervals apart (a sibling's interval is closed before ours opens).
-        if rec.parent != top.pre {
+        if rec.parent != top_pre {
             return corrupt(
                 pre,
-                format!("parent is {} but innermost open interval is {}", rec.parent, top.pre),
+                format!("parent is {} but innermost open interval is {top_pre}", rec.parent),
             );
         }
-        if rec.end > top.end {
+        if rec.end > top_end {
             return corrupt(pre, format!("interval [{pre}, {}] escapes parent's", rec.end));
         }
         // Property 3/4 bookkeeping: levels count the open ancestors.
         if rec.level as usize != stack.len() {
             return corrupt(pre, format!("level {} but depth {}", rec.level, stack.len()));
         }
-        match rec.kind {
-            NodeKind::Attribute | NodeKind::Text => {
-                // Leaves may carry end slack, but no descendant: the next
-                // arena record must fall outside the interval.
-                if records.get(i + 1).is_some_and(|n| n.pre <= rec.end) {
-                    return corrupt(pre, format!("{:?} node must be a leaf", rec.kind));
-                }
-                if rec.content.is_none() {
-                    return corrupt(pre, format!("{:?} node must carry content", rec.kind));
-                }
-            }
-            NodeKind::Element | NodeKind::DocRoot => {}
+        if matches!(rec.kind, NodeKind::Attribute | NodeKind::Text) && rec.content.is_none() {
+            return corrupt(pre, format!("{:?} node must carry content", rec.kind));
         }
-        stack.push(i);
+        stack.push((pre, rec.end, rec.kind));
     }
     Ok(())
 }

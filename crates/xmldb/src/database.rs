@@ -6,16 +6,24 @@ use crate::index::{TagIndex, ValueIndex};
 use crate::node::{DocId, NodeId, NodeKind};
 use crate::tag::{TagId, TagInterner};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A native XML database: documents, a shared tag interner, and the two
 /// access-path indexes of the paper's evaluation (tag index + value index).
 ///
-/// `Clone` deep-copies everything — the copy-on-write commit path in the
-/// service clones the database, applies [`crate::update`] mutations to the
-/// copy, and publishes it as the next epoch.
+/// `Clone` is cheap and shares structure: the copy points at the same
+/// arena chunks ([`crate::document`]), per-tag posting lists and value
+/// partitions ([`crate::index`]) and tag interner as the original, so it
+/// costs O(documents + chunks + tags), not O(nodes). The copy-on-write
+/// commit path in the service clones the database, applies
+/// [`crate::update`] mutations to the copy — which copy only the chunks,
+/// posting lists and partitions they change — and publishes it as the next
+/// epoch. Loads and updates never change what the original exposes; only
+/// interning directly through [`Database::interner`] reaches every clone
+/// that shares the interner.
 #[derive(Debug, Clone)]
 pub struct Database {
-    interner: TagInterner,
+    interner: Arc<TagInterner>,
     docs: Vec<Document>,
     names: HashMap<Box<str>, DocId>,
     tag_index: TagIndex,
@@ -32,7 +40,7 @@ impl Database {
     /// Creates an empty database.
     pub fn new() -> Self {
         Database {
-            interner: TagInterner::new(),
+            interner: Arc::new(TagInterner::new()),
             docs: Vec::new(),
             names: HashMap::new(),
             tag_index: TagIndex::new(),
@@ -40,9 +48,37 @@ impl Database {
         }
     }
 
-    /// The shared tag interner.
+    /// The tag interner (shared with clones until a load or insert into
+    /// one of them interns a new label).
     pub fn interner(&self) -> &TagInterner {
         &self.interner
+    }
+
+    /// The interner, unshared first: loads and the update engine intern new
+    /// labels here, which must not leak into an older snapshot that shares
+    /// the interner (copies O(labels), only when shared).
+    pub(crate) fn interner_for_insert(&mut self) -> &TagInterner {
+        if Arc::get_mut(&mut self.interner).is_none() {
+            self.interner = Arc::new((*self.interner).clone());
+        }
+        &self.interner
+    }
+
+    /// How much of this database's storage is the very same allocation as
+    /// `other`'s — e.g. the epoch it was cloned from before a mutation.
+    pub fn sharing(&self, other: &Database) -> Sharing {
+        let mut s = Sharing {
+            tag_lists_shared: self.tag_index.shared_lists(&other.tag_index),
+            tag_lists: self.tag_index.tag_count(),
+            value_partitions_shared: self.value_index.shared_partitions(&other.value_index),
+            value_partitions: self.value_index.partition_count(),
+            ..Sharing::default()
+        };
+        for (doc, theirs) in self.docs.iter().zip(&other.docs) {
+            s.chunks_shared += doc.shared_chunks(theirs);
+        }
+        s.chunks = self.docs.iter().map(Document::chunk_count).sum();
+        s
     }
 
     /// Starts building a document destined for this database.
@@ -76,7 +112,7 @@ impl Database {
 
     /// Parses and loads an XML string under the given logical name.
     pub fn load_xml(&mut self, name: &str, xml: &str) -> Result<DocId> {
-        let doc = crate::parse::parse_document(name, xml, &self.interner)?;
+        let doc = crate::parse::parse_document(name, xml, self.interner_for_insert())?;
         self.insert(doc)
     }
 
@@ -155,6 +191,25 @@ impl Database {
     pub fn is_parent(&self, p: NodeId, c: NodeId) -> bool {
         p.doc == c.doc && self.document(p.doc).parent(c.pre) == Some(p.pre)
     }
+}
+
+/// Structural sharing between two databases ([`Database::sharing`]): for
+/// each kind of storage unit, how many this database has and how many of
+/// them are the same allocation as the other database's.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Sharing {
+    /// Arena chunks, over all documents.
+    pub chunks: usize,
+    /// Arena chunks shared with the other database.
+    pub chunks_shared: usize,
+    /// Tag-index posting lists.
+    pub tag_lists: usize,
+    /// Tag-index posting lists shared with the other database.
+    pub tag_lists_shared: usize,
+    /// Value-index tag partitions.
+    pub value_partitions: usize,
+    /// Value-index tag partitions shared with the other database.
+    pub value_partitions_shared: usize,
 }
 
 /// Borrowed, copyable view of a base node: the ergonomic access surface used

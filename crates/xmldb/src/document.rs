@@ -18,15 +18,34 @@
 //! Child navigation needs no explicit links: children of a node are found by
 //! scanning forward in the arena and skipping each child's subtree (a
 //! binary-search hop over its interval).
+//!
+//! ## Chunked, shared arena
+//!
+//! The arena is a sequence of [`Arc`]-shared chunks of about [`CHUNK`]
+//! records each, concatenated in document order. Cloning a document copies
+//! only the chunk pointers, so every epoch a copy-on-write commit publishes
+//! shares all the chunks a mutation did not touch with the epoch before it.
+//! The in-crate update engine edits through `Document::splice` and
+//! `Document::record_mut_at`, which copy just the chunks they change.
 
 use crate::error::{Error, Result};
 use crate::node::{DocId, NodeId, NodeKind};
 use crate::tag::{TagId, TagInterner};
+use std::sync::Arc;
 
 /// Gap left between consecutive pre ords at document build time. Each gap
 /// absorbs up to `GAP - 1` nodes inserted after the labelled node before the
 /// update engine has to renumber locally.
 pub const GAP: u32 = 32;
+
+/// Records per arena chunk at build time — the unit a mutation copies.
+pub const CHUNK: usize = 128;
+
+/// A chunk that grows past this many records is split back into pieces of
+/// about [`CHUNK`]. Letting a chunk absorb inserts before splitting keeps
+/// the chunk index of every later record (and so the O(1) ord probe in
+/// [`Document::idx_of`]) stable across small inserts.
+const CHUNK_MAX: usize = 2 * CHUNK;
 
 /// The build-time gap for a document of `len` records: [`GAP`], shrunk when
 /// `len * GAP` would overflow the `u32` ord space.
@@ -45,7 +64,8 @@ pub struct NodeRecord {
     /// Inline text value. Present on attributes, text nodes, and elements
     /// whose only non-attribute child was a single text run (collapsed at
     /// build time, the common case for leaf elements like `<age>25</age>`).
-    pub content: Option<Box<str>>,
+    /// Shared, so copying a chunk for a mutation allocates no strings.
+    pub content: Option<Arc<str>>,
     /// Sparse pre ord: strictly increasing in document order, with gaps.
     pub pre: u32,
     /// Pre ord of the parent; `u32::MAX` for the document root.
@@ -60,17 +80,45 @@ pub struct NodeRecord {
 
 const NO_PARENT: u32 = u32::MAX;
 
-/// An immutable XML document in pre-order arena form.
+/// An XML document in pre-order arena form.
 ///
 /// Node 0 is always a synthetic [`NodeKind::DocRoot`] node (the `doc_root` of
 /// the paper's pattern trees); the document element is its only child.
+///
+/// `Clone` is O(chunks), not O(nodes): the copy shares every chunk with the
+/// original (see the module docs).
 #[derive(Debug, Clone)]
 pub struct Document {
     name: Box<str>,
-    records: Vec<NodeRecord>,
+    /// Non-empty chunks, in document order.
+    chunks: Vec<Arc<Vec<NodeRecord>>>,
+    /// Arena index of each chunk's first record, plus the total length.
+    starts: Vec<usize>,
+    /// Pre ord of each chunk's first record.
+    firsts: Vec<u32>,
 }
 
 impl Document {
+    fn from_records(name: Box<str>, records: Vec<NodeRecord>) -> Document {
+        let mut doc = Document { name, chunks: Vec::new(), starts: Vec::new(), firsts: Vec::new() };
+        doc.chunks = split_into_chunks(records, false);
+        doc.reindex();
+        doc
+    }
+
+    /// Recomputes the chunk directory (`starts`, `firsts`): O(chunks).
+    fn reindex(&mut self) {
+        self.starts.clear();
+        self.firsts.clear();
+        let mut at = 0;
+        for chunk in &self.chunks {
+            self.starts.push(at);
+            self.firsts.push(chunk[0].pre);
+            at += chunk.len();
+        }
+        self.starts.push(at);
+    }
+
     /// The logical name the document was loaded under (e.g. `auction.xml`).
     pub fn name(&self) -> &str {
         &self.name
@@ -78,26 +126,42 @@ impl Document {
 
     /// Total number of nodes, including the synthetic root.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.starts.last().copied().unwrap_or(0)
     }
 
     /// True only for a degenerate document with nothing but the synthetic root.
     pub fn is_empty(&self) -> bool {
-        self.records.len() <= 1
+        self.len() <= 1
     }
 
-    /// Arena index of the node with pre ord `pre`. O(1) for documents still
-    /// carrying their build-time [`GAP`] spacing (the guess probe hits);
-    /// falls back to binary search over the sorted ords after mutations.
+    /// `(chunk, offset)` of the node with pre ord `pre`. O(1) for chunks
+    /// still carrying their build-time [`GAP`] spacing and position (the
+    /// guess probe hits); otherwise a binary search over the chunk
+    /// directory, then within the chunk.
     #[inline]
-    pub fn idx_of(&self, pre: u32) -> Option<usize> {
+    fn locate(&self, pre: u32) -> Option<(usize, usize)> {
         let guess = (pre / GAP) as usize;
-        if let Some(r) = self.records.get(guess) {
+        let (c, o) = (guess / CHUNK, guess % CHUNK);
+        if let Some(r) = self.chunks.get(c).and_then(|chunk| chunk.get(o)) {
             if r.pre == pre {
-                return Some(guess);
+                return Some((c, o));
             }
         }
-        self.records.binary_search_by_key(&pre, |r| r.pre).ok()
+        let c = self.firsts.partition_point(|&f| f <= pre).checked_sub(1)?;
+        let o = self.chunks[c].binary_search_by_key(&pre, |r| r.pre).ok()?;
+        Some((c, o))
+    }
+
+    /// The chunk holding arena index `idx` (`idx < len`).
+    fn chunk_of(&self, idx: usize) -> usize {
+        self.starts.partition_point(|&s| s <= idx) - 1
+    }
+
+    /// Arena index of the node with pre ord `pre` (O(1) while the node's chunk keeps its
+    /// build-time layout, two binary searches otherwise).
+    #[inline]
+    pub fn idx_of(&self, pre: u32) -> Option<usize> {
+        self.locate(pre).map(|(c, o)| self.starts[c] + o)
     }
 
     /// Borrow a record by pre ord.
@@ -106,35 +170,164 @@ impl Document {
     /// Panics if no node has ord `pre`.
     #[inline]
     pub fn record(&self, pre: u32) -> &NodeRecord {
-        match self.idx_of(pre) {
-            Some(idx) => &self.records[idx],
+        match self.locate(pre) {
+            Some((c, o)) => &self.chunks[c][o],
             None => panic!("{:?} has no node with pre ord {pre}", self.name),
         }
     }
 
     /// Fallible record lookup by pre ord.
     pub fn try_record(&self, pre: u32) -> Option<&NodeRecord> {
-        self.idx_of(pre).map(|i| &self.records[i])
+        self.locate(pre).map(|(c, o)| &self.chunks[c][o])
+    }
+
+    /// The record at arena index `idx`.
+    ///
+    /// # Panics
+    /// Panics if `idx >= len`.
+    pub(crate) fn at(&self, idx: usize) -> &NodeRecord {
+        let c = self.chunk_of(idx);
+        &self.chunks[c][idx - self.starts[c]]
     }
 
     /// All records in pre order.
-    pub fn records(&self) -> &[NodeRecord] {
-        &self.records
+    pub fn records(&self) -> Records<'_> {
+        Records { doc: self }
     }
 
-    /// Mutable arena access for the in-crate update engine.
-    pub(crate) fn records_mut(&mut self) -> &mut Vec<NodeRecord> {
-        &mut self.records
+    /// The records at arena indexes `[start, end)`, in pre order.
+    pub(crate) fn range(&self, start: usize, end: usize) -> RecordIter<'_> {
+        if start >= end {
+            return self.iter_at((self.chunks.len(), 0), 0);
+        }
+        let c = self.chunk_of(start);
+        self.iter_at((c, start - self.starts[c]), end - start)
+    }
+
+    /// `n` records from position `(chunk, offset)` on.
+    fn iter_at(&self, (c, o): (usize, usize), n: usize) -> RecordIter<'_> {
+        match self.chunks.get(c) {
+            Some(chunk) => RecordIter {
+                rest: self.chunks[c + 1..].iter(),
+                cur: chunk[o..].iter(),
+                remaining: n,
+            },
+            None => RecordIter { rest: [].iter(), cur: [].iter(), remaining: 0 },
+        }
+    }
+
+    /// Arena index of position `(chunk, offset)`.
+    fn idx_at(&self, (c, o): (usize, usize)) -> usize {
+        self.starts[c] + o
+    }
+
+    /// The first position at or after `(c, o)` whose record's pre ord
+    /// exceeds `ord` (`(chunks, 0)` when none does); every record before
+    /// `(c, o)` must have a pre ord `<= ord`. Subtree ends and sibling hops
+    /// usually land in the same chunk, which is searched first; otherwise
+    /// pre ords increase across the whole arena, so one binary search over
+    /// the chunk directory and one within a chunk find it.
+    fn after(&self, c: usize, o: usize, ord: u32) -> (usize, usize) {
+        if let Some(chunk) = self.chunks.get(c) {
+            if chunk.last().is_some_and(|r| r.pre > ord) {
+                return (c, o + chunk[o..].partition_point(|r| r.pre <= ord));
+            }
+        }
+        match self.firsts.partition_point(|&f| f <= ord) {
+            0 => (0, 0),
+            k => {
+                let o = self.chunks[k - 1].partition_point(|r| r.pre <= ord);
+                if o == self.chunks[k - 1].len() {
+                    (k, 0)
+                } else {
+                    (k - 1, o)
+                }
+            }
+        }
+    }
+
+    /// Positions `[start, end)` of the subtree rooted at ord `pre`.
+    fn subtree_pos(&self, pre: u32) -> Option<((usize, usize), (usize, usize))> {
+        let (c, o) = self.locate(pre)?;
+        Some(((c, o), self.after(c, o, self.chunks[c][o].end)))
+    }
+
+    /// Number of arena chunks.
+    pub(crate) fn chunk_count(&self) -> usize {
+        self.chunks.len()
+    }
+
+    /// How many of this document's chunks are the very same allocation as
+    /// a chunk of `other` — e.g. an earlier epoch of the same document.
+    /// Chunks are compared by identity, so this counts exactly the records
+    /// a copy-on-write mutation did *not* copy, in chunk units.
+    pub(crate) fn shared_chunks(&self, other: &Document) -> usize {
+        let theirs: std::collections::HashSet<*const Vec<NodeRecord>> =
+            other.chunks.iter().map(Arc::as_ptr).collect();
+        self.chunks.iter().filter(|c| theirs.contains(&Arc::as_ptr(c))).count()
+    }
+
+    /// Mutable access to the record at arena index `idx` for the in-crate
+    /// update engine, copying its chunk first if another snapshot shares
+    /// it (the copied records are added to `copied`). The caller must not
+    /// change the record's `pre`.
+    pub(crate) fn record_mut_at(&mut self, idx: usize, copied: &mut usize) -> &mut NodeRecord {
+        let c = self.chunk_of(idx);
+        let o = idx - self.starts[c];
+        let chunk = &mut self.chunks[c];
+        if Arc::get_mut(chunk).is_none() {
+            *copied += chunk.len();
+        }
+        &mut Arc::make_mut(chunk)[o]
+    }
+
+    /// Replaces the records at arena indexes `[start, end)` with `new`
+    /// (already numbered in ord space), returning the removed records.
+    /// Only the chunks overlapping the range are copied (shared ones are
+    /// added to `copied`); the result is re-chunked when it outgrows
+    /// [`CHUNK_MAX`].
+    pub(crate) fn splice(
+        &mut self,
+        start: usize,
+        end: usize,
+        new: Vec<NodeRecord>,
+        copied: &mut usize,
+    ) -> Vec<NodeRecord> {
+        let len = self.len();
+        debug_assert!(start <= end && end <= len, "splice range {start}..{end} of {len}");
+        // An append at the very end edits the last chunk.
+        let c0 = self.chunk_of(start.min(len - 1));
+        let c1 = if end > start { self.chunk_of(end - 1) } else { c0 };
+        let base = self.starts[c0];
+        let mut buf = Vec::with_capacity(self.starts[c1 + 1] - base + new.len());
+        for chunk in self.chunks.drain(c0..=c1) {
+            match Arc::try_unwrap(chunk) {
+                Ok(owned) => buf.extend(owned),
+                Err(shared) => {
+                    *copied += shared.len();
+                    buf.extend(shared.iter().cloned());
+                }
+            }
+        }
+        let removed: Vec<NodeRecord> = buf.splice(start - base..end - base, new).collect();
+        let pieces = match buf.len() {
+            0 => Vec::new(),
+            n if n <= CHUNK_MAX => vec![Arc::new(buf)],
+            _ => split_into_chunks(buf, true),
+        };
+        self.chunks.splice(c0..c0, pieces);
+        self.reindex();
+        removed
     }
 
     /// Every node's pre ord, in document order.
     pub fn pres(&self) -> impl Iterator<Item = u32> + '_ {
-        self.records.iter().map(|r| r.pre)
+        self.records().iter().map(|r| r.pre)
     }
 
     /// Pre ord of the node at arena index `idx`.
     pub fn pre_at(&self, idx: usize) -> u32 {
-        self.records[idx].pre
+        self.at(idx).pre
     }
 
     /// Parent pre rank, or `None` at the document root.
@@ -147,9 +340,12 @@ impl Document {
     /// Iterates the direct children of `pre` in document order
     /// (attributes first — they are built before other children).
     pub fn children(&self, pre: u32) -> ChildIter<'_> {
-        let idx = self.idx_of(pre).unwrap_or(self.records.len());
-        let end = self.records.get(idx).map_or(0, |r| r.end);
-        ChildIter { doc: self, next_idx: idx.saturating_add(1), end }
+        match self.subtree_pos(pre) {
+            Some(((c, o), end)) => {
+                ChildIter { doc: self, next: (c, o + 1), stop: self.idx_at(end) }
+            }
+            None => ChildIter { doc: self, next: (self.chunks.len(), 0), stop: 0 },
+        }
     }
 
     /// Number of direct children.
@@ -160,19 +356,21 @@ impl Document {
     /// Arena index range `[start, end)` of the subtree rooted at ord `pre`;
     /// empty if no such node.
     pub(crate) fn subtree_idx_range(&self, pre: u32) -> (usize, usize) {
-        let Some(idx) = self.idx_of(pre) else {
-            return (0, 0);
-        };
-        let end = self.records[idx].end;
-        let rest = &self.records[idx + 1..];
-        (idx, idx + 1 + rest.partition_point(|r| r.pre <= end))
+        self.subtree_pos(pre).map_or((0, 0), |(start, end)| (self.idx_at(start), self.idx_at(end)))
+    }
+
+    /// The records of the subtree rooted at `pre` (inclusive), in pre order.
+    fn subtree_records(&self, pre: u32) -> RecordIter<'_> {
+        match self.subtree_pos(pre) {
+            Some((start, end)) => self.iter_at(start, self.idx_at(end) - self.idx_at(start)),
+            None => self.iter_at((self.chunks.len(), 0), 0),
+        }
     }
 
     /// Iterates every node in the subtree rooted at `pre` (inclusive), by
     /// pre ord in document order.
     pub fn subtree(&self, pre: u32) -> impl Iterator<Item = u32> + '_ {
-        let (start, end) = self.subtree_idx_range(pre);
-        self.records[start..end].iter().map(|r| r.pre)
+        self.subtree_records(pre).map(|r| r.pre)
     }
 
     /// Number of nodes in the subtree rooted at `pre` (inclusive). Under
@@ -191,9 +389,8 @@ impl Document {
     /// The concatenated text content of the subtree rooted at `pre`
     /// (inline contents plus text-node contents, in document order).
     pub fn string_value(&self, pre: u32) -> String {
-        let (start, end) = self.subtree_idx_range(pre);
         let mut out = String::new();
-        for (i, rec) in self.records[start..end].iter().enumerate() {
+        for (i, rec) in self.subtree_records(pre).enumerate() {
             // Attribute values are not part of an element's string value.
             if rec.kind == NodeKind::Attribute && i != 0 {
                 continue;
@@ -218,7 +415,10 @@ impl Document {
     /// Reconstructs a document from raw records (snapshot loading),
     /// validating all arena invariants.
     pub fn from_parts(name: &str, records: Vec<NodeRecord>) -> Result<Document> {
-        let doc = Document { name: name.into(), records };
+        if records.is_empty() {
+            return Err(Error::Builder("document has no root".into()));
+        }
+        let doc = Document::from_records(name.into(), records);
         doc.check_invariants()?;
         Ok(doc)
     }
@@ -226,30 +426,30 @@ impl Document {
     /// Validates internal invariants; used by tests and the property suite.
     pub fn check_invariants(&self) -> Result<()> {
         let fail = |m: String| Err(Error::Builder(m));
-        if self.records.is_empty() {
+        let Some(root) = self.records().first() else {
             return fail("document has no root".into());
-        }
-        let root = &self.records[0];
+        };
         if root.kind != NodeKind::DocRoot {
             return fail("node 0 must be the synthetic document root".into());
         }
         if root.pre != 0 || root.parent != NO_PARENT || root.level != 0 {
             return fail("root must have ord 0, no parent, and level 0".into());
         }
-        if root.end < self.records.last().expect("non-empty").pre {
+        if root.end < self.records().last().expect("non-empty").pre {
             return fail("root interval must span the document".into());
         }
-        for (i, rec) in self.records.iter().enumerate().skip(1) {
-            if rec.pre <= self.records[i - 1].pre {
+        let mut prev = root.pre;
+        for (i, rec) in self.records().iter().enumerate().skip(1) {
+            if rec.pre <= prev {
                 return fail(format!("pre ords not increasing at arena index {i}"));
             }
+            prev = rec.pre;
             if rec.end < rec.pre {
                 return fail(format!("node {} has bad interval end {}", rec.pre, rec.end));
             }
-            let Some(pidx) = self.idx_of(rec.parent) else {
+            let Some(parent) = self.try_record(rec.parent) else {
                 return fail(format!("node {} has unknown parent ord {}", rec.pre, rec.parent));
             };
-            let parent = &self.records[pidx];
             if !(parent.pre < rec.pre && rec.pre <= parent.end) {
                 return fail(format!("node {} outside parent interval", rec.pre));
             }
@@ -264,25 +464,111 @@ impl Document {
     }
 }
 
+/// Splits `records` into shared chunks of [`CHUNK`] records (a shorter
+/// tail, the build-time layout the ord probe in [`Document::idx_of`]
+/// relies on) or, when `balanced`, of near-equal sizes (re-chunking an
+/// edited run without leaving a runt).
+fn split_into_chunks(records: Vec<NodeRecord>, balanced: bool) -> Vec<Arc<Vec<NodeRecord>>> {
+    let n = records.len();
+    let pieces = n.div_ceil(CHUNK);
+    let mut out = Vec::with_capacity(pieces);
+    let mut it = records.into_iter();
+    for p in 0..pieces {
+        let take = if balanced { n / pieces + usize::from(p < n % pieces) } else { CHUNK };
+        out.push(Arc::new(it.by_ref().take(take).collect()));
+    }
+    out
+}
+
+/// A document's records in pre order: a copyable view over the chunked
+/// arena (see [`Document::records`]).
+#[derive(Clone, Copy)]
+pub struct Records<'a> {
+    doc: &'a Document,
+}
+
+impl<'a> Records<'a> {
+    /// Iterates the records in pre order.
+    pub fn iter(&self) -> RecordIter<'a> {
+        self.doc.range(0, self.doc.len())
+    }
+
+    /// The first record (the document root).
+    pub fn first(&self) -> Option<&'a NodeRecord> {
+        self.doc.chunks.first().and_then(|c| c.first())
+    }
+
+    /// The last record in document order.
+    pub fn last(&self) -> Option<&'a NodeRecord> {
+        self.doc.chunks.last().and_then(|c| c.last())
+    }
+}
+
+impl<'a> IntoIterator for Records<'a> {
+    type Item = &'a NodeRecord;
+    type IntoIter = RecordIter<'a>;
+
+    fn into_iter(self) -> RecordIter<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over a run of arena records across chunk boundaries.
+pub struct RecordIter<'a> {
+    rest: std::slice::Iter<'a, Arc<Vec<NodeRecord>>>,
+    cur: std::slice::Iter<'a, NodeRecord>,
+    remaining: usize,
+}
+
+impl<'a> Iterator for RecordIter<'a> {
+    type Item = &'a NodeRecord;
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a NodeRecord> {
+        if self.remaining == 0 {
+            return None;
+        }
+        loop {
+            if let Some(r) = self.cur.next() {
+                self.remaining -= 1;
+                return Some(r);
+            }
+            self.cur = self.rest.next()?.iter();
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
+}
+
+impl ExactSizeIterator for RecordIter<'_> {}
+
 /// Iterator over direct children (see [`Document::children`]).
 pub struct ChildIter<'a> {
     doc: &'a Document,
-    next_idx: usize,
-    end: u32,
+    /// Position of the next child, `(chunk, offset)`; the offset may equal
+    /// the chunk's length (then the next chunk's first record is meant).
+    next: (usize, usize),
+    /// Arena index one past the parent's subtree.
+    stop: usize,
 }
 
 impl Iterator for ChildIter<'_> {
     type Item = u32;
 
     fn next(&mut self) -> Option<u32> {
-        let rec = self.doc.records.get(self.next_idx)?;
-        if rec.pre > self.end {
+        let (mut c, mut o) = self.next;
+        if self.doc.chunks.get(c).is_some_and(|chunk| o == chunk.len()) {
+            (c, o) = (c + 1, 0);
+        }
+        if c >= self.doc.chunks.len() || self.doc.idx_at((c, o)) >= self.stop {
             return None;
         }
+        let rec = &self.doc.chunks[c][o];
         // Hop over this child's subtree: advance to the first arena slot
         // whose ord falls outside the child's interval.
-        let rest = &self.doc.records[self.next_idx + 1..];
-        self.next_idx += 1 + rest.partition_point(|r| r.pre <= rec.end);
+        self.next = self.doc.after(c, o + 1, rec.end);
         Some(rec.pre)
     }
 }
@@ -427,7 +713,7 @@ impl DocumentBuilder {
         }
         self.records[0].end = self.records.len() as u32 - 1;
         remap_dense_to_ords(&mut self.records);
-        let doc = Document { name: self.name, records: self.records };
+        let doc = Document::from_records(self.name, self.records);
         debug_assert!(doc.check_invariants().is_ok(), "{:?}", doc.check_invariants());
         Ok(doc)
     }

@@ -18,12 +18,17 @@
 use crate::node::{NodeId, NodeKind};
 use crate::tag::TagId;
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Bound;
+use std::sync::Arc;
 
 /// Tag-name index: interned tag → node ids in global document order.
+///
+/// Each posting list sits behind its own [`Arc`], so cloning the index (the
+/// copy-on-write commit path) copies one pointer per tag, and a mutation
+/// copies only the posting lists of the tags it touches.
 #[derive(Debug, Default, Clone)]
 pub struct TagIndex {
-    map: HashMap<TagId, Vec<NodeId>>,
-    empty: Vec<NodeId>,
+    map: HashMap<TagId, Arc<Vec<NodeId>>>,
 }
 
 impl TagIndex {
@@ -35,14 +40,14 @@ impl TagIndex {
     /// Registers a node. Nodes must be inserted in document order (the
     /// database loads documents one at a time in pre order, so this holds).
     pub fn insert(&mut self, tag: TagId, id: NodeId) {
-        let list = self.map.entry(tag).or_default();
+        let list = Arc::make_mut(self.map.entry(tag).or_default());
         debug_assert!(list.last().is_none_or(|l| *l < id), "tag index must stay sorted");
         list.push(id);
     }
 
     /// All nodes with the given tag, in document order.
     pub fn get(&self, tag: TagId) -> &[NodeId] {
-        self.map.get(&tag).unwrap_or(&self.empty)
+        self.map.get(&tag).map_or(&[], |list| list.as_slice())
     }
 
     /// Number of distinct tags indexed.
@@ -52,7 +57,7 @@ impl TagIndex {
 
     /// Total number of postings.
     pub fn posting_count(&self) -> usize {
-        self.map.values().map(Vec::len).sum()
+        self.map.values().map(|list| list.len()).sum()
     }
 
     /// Iterates every `(tag, postings)` pair, in no particular order. Used
@@ -62,6 +67,15 @@ impl TagIndex {
         self.map.iter().map(|(t, v)| (*t, v.as_slice()))
     }
 
+    /// How many of this index's posting lists are the very same allocation
+    /// as `other`'s list for the same tag (e.g. an earlier epoch's).
+    pub(crate) fn shared_lists(&self, other: &TagIndex) -> usize {
+        self.map
+            .iter()
+            .filter(|(t, list)| other.map.get(t).is_some_and(|o| Arc::ptr_eq(list, o)))
+            .count()
+    }
+
     /// Registers a node at its document-order position — the incremental
     /// counterpart of [`TagIndex::insert`] for in-place updates. Only the
     /// mutated tag's posting list is touched.
@@ -69,7 +83,7 @@ impl TagIndex {
         let list = self.map.entry(tag).or_default();
         match list.binary_search(&id) {
             Ok(_) => debug_assert!(false, "tag index already holds {id:?}"),
-            Err(pos) => list.insert(pos, id),
+            Err(pos) => Arc::make_mut(list).insert(pos, id),
         }
     }
 
@@ -82,7 +96,7 @@ impl TagIndex {
         let Ok(pos) = list.binary_search(&id) else {
             return false;
         };
-        list.remove(pos);
+        Arc::make_mut(list).remove(pos);
         if list.is_empty() {
             self.map.remove(&tag);
         }
@@ -108,13 +122,28 @@ impl Ord for OrdF64 {
 
 /// Content-value index over nodes with inline content (leaf elements,
 /// attributes and text nodes).
+///
+/// Partitioned by tag, each partition behind its own [`Arc`]: cloning the
+/// index copies one pointer per tag, and a mutation copies only the
+/// partitions of the tags whose content it changes.
 #[derive(Debug, Default, Clone)]
 pub struct ValueIndex {
-    /// Exact string match: `(tag, value) → ids` (document order).
-    exact: HashMap<(TagId, Box<str>), Vec<NodeId>>,
-    /// Numeric index per tag for range predicates.
-    numeric: HashMap<TagId, BTreeMap<OrdF64, Vec<NodeId>>>,
-    empty: Vec<NodeId>,
+    tags: HashMap<TagId, Arc<TagValues>>,
+}
+
+/// One tag's value postings.
+#[derive(Debug, Default, Clone)]
+struct TagValues {
+    /// Exact string match: value → ids (document order).
+    exact: HashMap<Box<str>, Vec<NodeId>>,
+    /// Numeric values for range predicates.
+    numeric: BTreeMap<OrdF64, Vec<NodeId>>,
+}
+
+impl TagValues {
+    fn is_empty(&self) -> bool {
+        self.exact.is_empty() && self.numeric.is_empty()
+    }
 }
 
 impl ValueIndex {
@@ -127,9 +156,10 @@ impl ValueIndex {
     /// order (same contract as [`TagIndex::insert`]).
     pub fn insert(&mut self, tag: TagId, kind: NodeKind, id: NodeId, content: &str) {
         debug_assert!(matches!(kind, NodeKind::Element | NodeKind::Attribute | NodeKind::Text));
-        self.exact.entry((tag, content.into())).or_default().push(id);
+        let values = Arc::make_mut(self.tags.entry(tag).or_default());
+        values.exact.entry(content.into()).or_default().push(id);
         if let Ok(n) = content.trim().parse::<f64>() {
-            self.numeric.entry(tag).or_default().entry(OrdF64(n)).or_default().push(id);
+            values.numeric.entry(OrdF64(n)).or_default().push(id);
         }
     }
 
@@ -137,12 +167,13 @@ impl ValueIndex {
     /// the incremental counterpart of [`ValueIndex::insert`] for in-place
     /// updates.
     pub fn insert_sorted(&mut self, tag: TagId, id: NodeId, content: &str) {
-        let list = self.exact.entry((tag, content.into())).or_default();
+        let values = Arc::make_mut(self.tags.entry(tag).or_default());
+        let list = values.exact.entry(content.into()).or_default();
         if let Err(pos) = list.binary_search(&id) {
             list.insert(pos, id);
         }
         if let Ok(n) = content.trim().parse::<f64>() {
-            let list = self.numeric.entry(tag).or_default().entry(OrdF64(n)).or_default();
+            let list = values.numeric.entry(OrdF64(n)).or_default();
             if let Err(pos) = list.binary_search(&id) {
                 list.insert(pos, id);
             }
@@ -153,31 +184,29 @@ impl ValueIndex {
     /// numeric, the numeric tree); returns whether the exact posting was
     /// present. Emptied entries are dropped.
     pub fn remove(&mut self, tag: TagId, id: NodeId, content: &str) -> bool {
-        let key = (tag, Box::from(content));
-        let Some(list) = self.exact.get_mut(&key) else {
+        if self.lookup_exact(tag, content).binary_search(&id).is_err() {
             return false;
-        };
-        let Ok(pos) = list.binary_search(&id) else {
-            return false;
-        };
+        }
+        let slot = self.tags.get_mut(&tag).expect("posting found above");
+        let values = Arc::make_mut(slot);
+        let list = values.exact.get_mut(content).expect("posting found above");
+        let pos = list.binary_search(&id).expect("posting found above");
         list.remove(pos);
         if list.is_empty() {
-            self.exact.remove(&key);
+            values.exact.remove(content);
         }
         if let Ok(n) = content.trim().parse::<f64>() {
-            if let Some(tree) = self.numeric.get_mut(&tag) {
-                if let Some(list) = tree.get_mut(&OrdF64(n)) {
-                    if let Ok(pos) = list.binary_search(&id) {
-                        list.remove(pos);
-                    }
-                    if list.is_empty() {
-                        tree.remove(&OrdF64(n));
-                    }
+            if let Some(list) = values.numeric.get_mut(&OrdF64(n)) {
+                if let Ok(pos) = list.binary_search(&id) {
+                    list.remove(pos);
                 }
-                if tree.is_empty() {
-                    self.numeric.remove(&tag);
+                if list.is_empty() {
+                    values.numeric.remove(&OrdF64(n));
                 }
             }
+        }
+        if values.is_empty() {
+            self.tags.remove(&tag);
         }
         true
     }
@@ -186,46 +215,58 @@ impl ValueIndex {
     /// the store checker to prove the index holds nothing beyond the nodes
     /// the forward sweep accounted for.
     pub fn exact_posting_count(&self) -> usize {
-        self.exact.values().map(Vec::len).sum()
+        self.tags.values().flat_map(|v| v.exact.values()).map(Vec::len).sum()
+    }
+
+    /// Number of tags with at least one value posting.
+    pub(crate) fn partition_count(&self) -> usize {
+        self.tags.len()
+    }
+
+    /// How many of this index's tag partitions are the very same
+    /// allocation as `other`'s partition for the same tag.
+    pub(crate) fn shared_partitions(&self, other: &ValueIndex) -> usize {
+        self.tags
+            .iter()
+            .filter(|(t, values)| other.tags.get(t).is_some_and(|o| Arc::ptr_eq(values, o)))
+            .count()
     }
 
     /// Nodes whose tag is `tag` and whose inline content equals `value`.
     pub fn lookup_exact(&self, tag: TagId, value: &str) -> &[NodeId] {
-        // Key by reference without allocating: HashMap<(TagId, Box<str>)>
-        // cannot be probed with (&TagId, &str), so we pay one small
-        // allocation per query compilation — not per tuple.
-        self.exact.get(&(tag, Box::from(value))).map_or(&self.empty[..], Vec::as_slice)
+        self.tags.get(&tag).and_then(|v| v.exact.get(value)).map_or(&[], Vec::as_slice)
     }
 
     /// Nodes with tag `tag` whose numeric value lies in `[lo, hi]`
     /// (either bound optional), in document order.
     pub fn lookup_range(&self, tag: TagId, lo: Option<f64>, hi: Option<f64>) -> Vec<NodeId> {
-        let Some(tree) = self.numeric.get(&tag) else {
-            return Vec::new();
-        };
         use std::ops::Bound::*;
         let lo = lo.map_or(Unbounded, |v| Included(OrdF64(v)));
         let hi = hi.map_or(Unbounded, |v| Included(OrdF64(v)));
-        let mut out: Vec<NodeId> =
-            tree.range((lo, hi)).flat_map(|(_, v)| v.iter().copied()).collect();
-        out.sort_unstable();
-        out
+        self.scan_numeric(tag, (lo, hi))
     }
 
     /// Nodes with tag `tag` whose numeric value is strictly above/below a
     /// bound — convenience for `>` / `<` predicates.
     pub fn lookup_cmp(&self, tag: TagId, op: std::cmp::Ordering, value: f64) -> Vec<NodeId> {
-        let Some(tree) = self.numeric.get(&tag) else {
-            return Vec::new();
-        };
         use std::cmp::Ordering::*;
         use std::ops::Bound::*;
-        let range: (std::ops::Bound<OrdF64>, std::ops::Bound<OrdF64>) = match op {
+        let range = match op {
             Less => (Unbounded, Excluded(OrdF64(value))),
             Greater => (Excluded(OrdF64(value)), Unbounded),
             Equal => (Included(OrdF64(value)), Included(OrdF64(value))),
         };
-        let mut out: Vec<NodeId> = tree.range(range).flat_map(|(_, v)| v.iter().copied()).collect();
+        self.scan_numeric(tag, range)
+    }
+
+    /// Every posting of `tag` whose numeric value falls in `range`, in
+    /// document order.
+    fn scan_numeric(&self, tag: TagId, range: (Bound<OrdF64>, Bound<OrdF64>)) -> Vec<NodeId> {
+        let Some(values) = self.tags.get(&tag) else {
+            return Vec::new();
+        };
+        let mut out: Vec<NodeId> =
+            values.numeric.range(range).flat_map(|(_, v)| v.iter().copied()).collect();
         out.sort_unstable();
         out
     }

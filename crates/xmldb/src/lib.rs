@@ -10,9 +10,12 @@
 //!   the paper's Figure 13: uniqueness, structural-relationship testing (for
 //!   structural joins), absolute document order, and order-within-class for
 //!   temporary nodes (see [`node::NodeId`] and [`node::TempId`]).
-//! * **Pre-order arena documents** ([`document::Document`]): the vector index
-//!   of a node *is* its pre-order rank, so document order is free and
-//!   ancestor/descendant testing is two integer comparisons.
+//! * **Pre-order arena documents** ([`document::Document`]): records in
+//!   document order under sparse pre ords, so document order is free and
+//!   ancestor/descendant testing is two integer comparisons. The arena is
+//!   split into shared chunks, and the indexes into shared per-tag parts, so
+//!   a cloned database shares storage with its original and a mutation
+//!   copies only what it changes.
 //! * **Tag-name and content-value indexes** ([`index`]): the paper's
 //!   experiments "used an index on element tag name for all the queries" and
 //!   "a value index on all queries that had a condition on content". There is
@@ -42,7 +45,7 @@ pub mod tag;
 pub mod update;
 
 pub use check::{check_database, check_document, CheckReport};
-pub use database::{Database, NodeRef};
+pub use database::{Database, NodeRef, Sharing};
 pub use document::{Document, DocumentBuilder};
 pub use error::{Error, Result};
 pub use index::{TagIndex, ValueIndex};

@@ -67,6 +67,11 @@ pub struct UpdateSummary {
     /// and deduplicated. A cached result whose tag footprint is disjoint
     /// from this set is provably unaffected by the mutation.
     pub affected_tags: Vec<TagId>,
+    /// Records the mutation had to copy because an older snapshot shared
+    /// their arena chunk (see [`crate::document`]); zero when the database
+    /// was not shared. Bounded by the chunks the mutation touched, not by
+    /// the document size.
+    pub records_copied: usize,
 }
 
 /// Inserts a parsed XML fragment as the **last child** of `parent`.
@@ -81,11 +86,12 @@ pub fn insert_subtree(
     parent: u32,
     xml: &str,
 ) -> Result<UpdateSummary> {
-    let frag = crate::parse::parse_document("#fragment", xml, db.interner())?;
+    db.try_document(doc)?;
+    let frag = crate::parse::parse_document("#fragment", xml, db.interner_for_insert())?;
     let text_tag = db.interner().text_tag();
-    let d = db.try_document(doc)?;
+    let d = db.document(doc);
     let pidx = d.idx_of(parent).ok_or(Error::NoSuchNode { doc: doc.0, pre: parent })?;
-    let prec = &d.records()[pidx];
+    let prec = d.at(pidx);
     if !matches!(prec.kind, NodeKind::DocRoot | NodeKind::Element) {
         return Err(Error::Update(format!(
             "insert target {parent} is {:?}; only elements (or the document root) take children",
@@ -135,7 +141,7 @@ pub fn insert_subtree(
 
     // Insertion point: directly after the parent's last descendant.
     let (_, ins) = d.subtree_idx_range(parent);
-    let lower = d.records()[ins - 1].pre;
+    let lower = d.at(ins - 1).pre;
     // Right spine of the parent's subtree: the nodes whose slack-bearing
     // `end`s cover `(lower, pend]` and must be reclaimed before new ords
     // can land there.
@@ -143,7 +149,7 @@ pub fn insert_subtree(
     let mut cur = ins - 1;
     while cur != pidx {
         spine.push(cur);
-        let par = d.records()[cur].parent;
+        let par = d.at(cur).parent;
         cur = d.idx_of(par).expect("parent ord resolves");
     }
     let avail = pend - lower;
@@ -155,6 +161,7 @@ pub fn insert_subtree(
     }
 
     let renumbered;
+    let mut copied = 0;
     if u64::from(avail) > m as u64 {
         // Gap path: subdivide (lower, pend] among the M new nodes.
         let step = avail / (m as u32 + 1);
@@ -165,16 +172,16 @@ pub fn insert_subtree(
             r.end = lower + (r.end + 2) * step - 1;
         }
         let (dm, ti, vi) = db.update_parts(doc);
-        let recs = dm.records_mut();
         if uncollapse {
-            let old = recs[pidx].content.take().expect("uncollapse implies content");
-            vi.remove(recs[pidx].tag, NodeId::new(doc, parent), &old);
+            let prec = dm.record_mut_at(pidx, &mut copied);
+            let old = prec.content.take().expect("uncollapse implies content");
+            vi.remove(prec.tag, NodeId::new(doc, parent), &old);
         }
         for &i in &spine {
-            recs[i].end = lower;
+            dm.record_mut_at(i, &mut copied).end = lower;
         }
-        recs.splice(ins..ins, new_recs);
-        for r in &recs[ins..ins + m] {
+        dm.splice(ins, ins, new_recs, &mut copied);
+        for r in dm.range(ins, ins + m) {
             let id = NodeId::new(doc, r.pre);
             ti.insert_sorted(r.tag, id);
             if let Some(c) = &r.content {
@@ -187,7 +194,7 @@ pub fn insert_subtree(
         // fits its post-insert subtree, then redistribute evenly.
         let mut anc_idx = pidx;
         let (slice_start, old_slice_end, base, g, root_end) = loop {
-            let arec = &d.records()[anc_idx];
+            let arec = d.at(anc_idx);
             let (s, e) = d.subtree_idx_range(arec.pre);
             let k = (e - s - 1 + m) as u64;
             let b = u64::from(arec.end - arec.pre);
@@ -201,46 +208,45 @@ pub fn insert_subtree(
             }
             anc_idx = d.idx_of(arec.parent).expect("ancestor ord resolves");
         };
-        for r in &d.records()[slice_start..old_slice_end] {
-            affected.push(r.tag);
-        }
-        renumbered = old_slice_end - slice_start - 1;
+        let mut slice: Vec<NodeRecord> = d.range(slice_start, old_slice_end).cloned().collect();
+        affected.extend(slice.iter().map(|r| r.tag));
+        renumbered = slice.len() - 1;
 
         let (dm, ti, vi) = db.update_parts(doc);
-        let recs = dm.records_mut();
         // Drop the old postings of every node about to be renumbered.
-        let old: Vec<(TagId, NodeId, Option<Box<str>>)> = recs[slice_start..old_slice_end]
-            .iter()
-            .filter(|r| r.kind != NodeKind::DocRoot)
-            .map(|r| (r.tag, NodeId::new(doc, r.pre), r.content.clone()))
-            .collect();
-        for (t, id, c) in &old {
-            ti.remove(*t, *id);
-            if let Some(c) = c {
-                vi.remove(*t, *id, c);
+        for r in slice.iter().filter(|r| r.kind != NodeKind::DocRoot) {
+            let id = NodeId::new(doc, r.pre);
+            ti.remove(r.tag, id);
+            if let Some(c) = &r.content {
+                vi.remove(r.tag, id, c);
             }
         }
         if uncollapse {
-            recs[pidx].content = None;
+            slice[pidx - slice_start].content = None;
         }
-        recs.splice(ins..ins, new_recs);
-        renumber_slice(&mut recs[slice_start..old_slice_end + m], base, g, root_end);
-        for r in &recs[slice_start..old_slice_end + m] {
-            if r.kind == NodeKind::DocRoot {
-                continue;
-            }
+        slice.splice(ins - slice_start..ins - slice_start, new_recs);
+        renumber_slice(&mut slice, base, g, root_end);
+        for r in slice.iter().filter(|r| r.kind != NodeKind::DocRoot) {
             let id = NodeId::new(doc, r.pre);
             ti.insert_sorted(r.tag, id);
             if let Some(c) = &r.content {
                 vi.insert_sorted(r.tag, id, c);
             }
         }
+        dm.splice(slice_start, old_slice_end, slice, &mut copied);
     }
 
     verify(db);
     affected.sort_unstable();
     affected.dedup();
-    Ok(UpdateSummary { doc, nodes_added: m, nodes_removed: 0, renumbered, affected_tags: affected })
+    Ok(UpdateSummary {
+        doc,
+        nodes_added: m,
+        nodes_removed: 0,
+        renumbered,
+        affected_tags: affected,
+        records_copied: copied,
+    })
 }
 
 /// Deletes the subtree rooted at `pre` (the node itself and every
@@ -253,10 +259,11 @@ pub fn delete_subtree(db: &mut Database, doc: DocId, pre: u32) -> Result<UpdateS
     }
     let (s, e) = d.subtree_idx_range(pre);
     let mut affected = Vec::new();
-    ancestor_tags(d, d.records()[idx].parent, &mut affected);
+    ancestor_tags(d, d.at(idx).parent, &mut affected);
 
+    let mut copied = 0;
     let (dm, ti, vi) = db.update_parts(doc);
-    let removed: Vec<NodeRecord> = dm.records_mut().drain(s..e).collect();
+    let removed = dm.splice(s, e, Vec::new(), &mut copied);
     for r in &removed {
         let id = NodeId::new(doc, r.pre);
         ti.remove(r.tag, id);
@@ -278,6 +285,7 @@ pub fn delete_subtree(db: &mut Database, doc: DocId, pre: u32) -> Result<UpdateS
         nodes_removed: removed.len(),
         renumbered: 0,
         affected_tags: affected,
+        records_copied: copied,
     })
 }
 
@@ -288,7 +296,7 @@ pub fn delete_subtree(db: &mut Database, doc: DocId, pre: u32) -> Result<UpdateS
 pub fn set_text(db: &mut Database, doc: DocId, pre: u32, text: &str) -> Result<UpdateSummary> {
     let d = db.try_document(doc)?;
     let idx = d.idx_of(pre).ok_or(Error::NoSuchNode { doc: doc.0, pre })?;
-    let rec = &d.records()[idx];
+    let rec = d.at(idx);
     match rec.kind {
         NodeKind::DocRoot => {
             return Err(Error::Update("cannot set text on the document root".into()))
@@ -306,9 +314,10 @@ pub fn set_text(db: &mut Database, doc: DocId, pre: u32, text: &str) -> Result<U
     let mut affected = Vec::new();
     ancestor_tags(d, pre, &mut affected);
 
+    let mut copied = 0;
     let (dm, _, vi) = db.update_parts(doc);
     let id = NodeId::new(doc, pre);
-    let r = &mut dm.records_mut()[idx];
+    let r = dm.record_mut_at(idx, &mut copied);
     if let Some(old) = r.content.take() {
         vi.remove(r.tag, id, &old);
     }
@@ -324,6 +333,7 @@ pub fn set_text(db: &mut Database, doc: DocId, pre: u32, text: &str) -> Result<U
         nodes_removed: 0,
         renumbered: 0,
         affected_tags: affected,
+        records_copied: copied,
     })
 }
 
@@ -563,6 +573,95 @@ mod tests {
         );
         reparse_matches(&db);
         let _ = oa;
+    }
+
+    /// A document spanning many arena chunks: `<site>` over `n` items of
+    /// three records each (element, attribute, inline-content name).
+    fn wide(n: usize) -> Database {
+        let mut xml = String::from("<site>");
+        for i in 0..n {
+            xml.push_str(&format!(r#"<item id="i{i}"><name>n{i}</name></item>"#));
+        }
+        xml.push_str("</site>");
+        let mut db = Database::new();
+        db.load_xml("auction.xml", &xml).unwrap();
+        db
+    }
+
+    #[test]
+    fn mutations_copy_only_what_they_touch() {
+        use crate::document::CHUNK;
+        let base = wide(1000);
+        let chunks = base.document(DocId(0)).chunk_count();
+        assert!(chunks > 10, "the fixture must span many chunks, got {chunks}");
+        let untouched = base.sharing(&base.clone());
+        assert_eq!(untouched.chunks_shared, chunks, "a clone shares every chunk");
+
+        let mut next = base.clone();
+        let name = next.nodes_with_tag("name")[500];
+        let s = set_text(&mut next, DocId(0), name.pre, "changed").unwrap();
+        assert!(s.records_copied > 0 && s.records_copied <= 2 * CHUNK, "{}", s.records_copied);
+        let sh = next.sharing(&base);
+        assert_eq!(sh.chunks_shared, sh.chunks - 1, "set_text copies one chunk");
+        assert_eq!(sh.tag_lists_shared, sh.tag_lists, "no posting list changed");
+        assert_eq!(sh.value_partitions_shared, sh.value_partitions - 1, "only `name` values");
+
+        let item = next.nodes_with_tag("item")[250];
+        let s = insert_subtree(&mut next, DocId(0), item.pre, "<note>n</note>").unwrap();
+        assert_eq!(s.renumbered, 0);
+        assert!(s.records_copied <= 2 * CHUNK, "{}", s.records_copied);
+        let item = next.nodes_with_tag("item")[750];
+        delete_subtree(&mut next, DocId(0), item.pre).unwrap();
+        let sh = next.sharing(&base);
+        assert!(sh.chunks_shared + 4 >= sh.chunks, "{sh:?}");
+
+        // The base epoch saw none of it.
+        let name_tag = base.interner().lookup("name").unwrap();
+        assert_eq!(base.node(name).content(), Some("n500"));
+        assert!(base.value_index().lookup_exact(name_tag, "changed").is_empty());
+        assert!(base.interner().lookup("note").is_none(), "new labels stay in the new epoch");
+        assert_eq!(base.nodes_with_tag("item").len(), 1000);
+        crate::check::check_database(&base).unwrap();
+        assert_eq!(next.nodes_with_tag("item").len(), 999);
+        reparse_matches(&next);
+    }
+
+    #[test]
+    fn edits_across_chunk_boundaries_keep_the_store_consistent() {
+        use crate::document::CHUNK;
+        let mut db = wide(300);
+        let before = db.clone();
+        // Appending past a chunk's split threshold re-chunks it.
+        for i in 0..3 * CHUNK {
+            let site = db.nodes_with_tag("site")[0];
+            insert_subtree(&mut db, DocId(0), site.pre, &format!("<tail>{i}</tail>")).unwrap();
+        }
+        // Exhaust one item's gap so local renumbering rewrites a slice.
+        let mut renumbered = 0;
+        for i in 0..40 {
+            let item = db.nodes_with_tag("item")[100];
+            renumbered += insert_subtree(&mut db, DocId(0), item.pre, &format!("<w>{i}</w>"))
+                .unwrap()
+                .renumbered;
+        }
+        assert!(renumbered > 0);
+        // Delete a run of items that straddles chunk boundaries, then the
+        // very first item.
+        for _ in 0..2 * CHUNK / 3 {
+            let item = db.nodes_with_tag("item")[150];
+            delete_subtree(&mut db, DocId(0), item.pre).unwrap();
+        }
+        let first = db.nodes_with_tag("item")[0];
+        delete_subtree(&mut db, DocId(0), first.pre).unwrap();
+        crate::check::check_database(&db).unwrap();
+        let doc = db.document(DocId(0));
+        for p in doc.pres() {
+            assert_eq!(doc.record(p).pre, p, "every ord resolves after re-chunking");
+        }
+        assert_eq!(db.nodes_with_tag("tail").len(), 3 * CHUNK);
+        reparse_matches(&db);
+        crate::check::check_database(&before).unwrap();
+        assert_eq!(before.nodes_with_tag("item").len(), 300);
     }
 
     #[test]

@@ -10,6 +10,11 @@
 //!    mutated document back to XML and reparsing it — so incremental index
 //!    maintenance can never drift from what a rebuild would produce.
 //!
+//! Consecutive epochs share storage (untouched arena chunks, posting lists
+//! and value partitions), so the test also re-serializes the last few
+//! superseded snapshots after every commit and requires their bytes to be
+//! unchanged, and bounds how much of the store each commit copied.
+//!
 //! Streams are drawn from a seeded splitmix generator (no external
 //! property-testing crate), so failures replay exactly. The generator
 //! deliberately targets *existing* nodes of the evolving document —
@@ -126,15 +131,26 @@ fn next_op(rng: &mut Rng, db: &Database, step: usize) -> UpdateOp {
     }
 }
 
+/// The document's serialized bytes.
+fn serialized(db: &Database) -> String {
+    let doc = db.document_by_name(DOC).expect("document exists");
+    xmldb::serialize::serialize_subtree(db, db.root(doc))
+}
+
+/// How many superseded epochs each step re-checks for isolation.
+const KEEP_EPOCHS: usize = 4;
+
 /// One full stream: `steps` random mutations through the service's
-/// copy-on-write commit path, invariants and probe answers checked after
-/// every single step.
-fn run_stream(seed: u64, steps: usize) -> usize {
+/// copy-on-write commit path over the `seed_xml` document, invariants,
+/// probe answers and the isolation of recent epochs checked after every
+/// single step.
+fn run_stream(seed: u64, steps: usize, seed_xml: &str) -> usize {
     let mut db = Database::new();
-    db.load_xml(DOC, "<a><b>hit</b><c>seed text</c><a><b>deep</b></a></a>").expect("seed document");
+    db.load_xml(DOC, seed_xml).expect("seed document");
     let svc = Service::new(Arc::new(db), ServiceConfig::default());
     let mut rng = Rng(seed);
     let mut renumbered = 0usize;
+    let mut history: Vec<(Arc<Database>, String)> = Vec::new();
 
     for step in 0..steps {
         // Warm the caches so the seeding path (not just the purge path) is
@@ -142,13 +158,37 @@ fn run_stream(seed: u64, steps: usize) -> usize {
         for q in probes() {
             svc.execute(q).expect("probe query");
         }
-        let op = next_op(&mut rng, &svc.database(), step);
+        let superseded = svc.database();
+        history.push((Arc::clone(&superseded), serialized(&superseded)));
+        if history.len() > KEEP_EPOCHS {
+            history.remove(0);
+        }
+        let op = next_op(&mut rng, &superseded, step);
         let outcome = svc
             .apply_update(svc.default_database(), &op)
             .unwrap_or_else(|e| panic!("seed {seed} step {step}: {op:?} failed: {e}"));
         renumbered += outcome.summary.renumbered;
 
         let snapshot = svc.database();
+        for (old, bytes) in &history {
+            assert_eq!(
+                &serialized(old),
+                bytes,
+                "seed {seed} step {step}: {op:?} leaked into an older epoch"
+            );
+        }
+        // Without renumbering a commit copies the chunks it edits plus the
+        // insertion point's ancestor spine, never the document.
+        let s = &outcome.summary;
+        if s.renumbered == 0 {
+            let bound = 16 * xmldb::document::CHUNK + s.nodes_removed;
+            assert!(
+                s.records_copied <= bound,
+                "seed {seed} step {step}: copied {}",
+                s.records_copied
+            );
+        }
+
         xmldb::check_database(&snapshot).unwrap_or_else(|e| {
             panic!("seed {seed} step {step}: store check failed after {op:?}: {e}")
         });
@@ -169,12 +209,26 @@ fn run_stream(seed: u64, steps: usize) -> usize {
 fn random_update_streams_preserve_invariants_and_answers() {
     let mut renumbered = 0;
     for seed in [1, 42, 4096] {
-        renumbered += run_stream(seed, 40);
+        renumbered += run_stream(seed, 40, "<a><b>hit</b><c>seed text</c><a><b>deep</b></a></a>");
     }
     assert!(
         renumbered > 0,
         "no stream ever hit the renumbering fallback — generator too tame to trust"
     );
+}
+
+#[test]
+fn random_streams_over_a_many_chunk_document_keep_epochs_isolated() {
+    // ~2000 records: the document spans many arena chunks, so commits edit
+    // some chunks and share the rest with the epoch before.
+    let mut xml = String::from("<a>");
+    for i in 0..400 {
+        xml.push_str(&format!("<a><b>hit</b><c>s{i}</c><b id=\"x{i}\">t</b></a>"));
+    }
+    xml.push_str("</a>");
+    for seed in [7, 99] {
+        run_stream(seed, 25, &xml);
+    }
 }
 
 #[test]
