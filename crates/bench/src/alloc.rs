@@ -2,15 +2,14 @@
 //!
 //! [`CountingAlloc`] wraps [`std::alloc::System`] and bumps one relaxed
 //! atomic per `alloc`/`realloc` call — cheap enough to leave on for bench
-//! runs, and the only way to *measure* (rather than estimate) what the
-//! execution arena saves. It is registered as the `#[global_allocator]`
-//! in two places:
+//! runs, and a deterministic figure where wall-clock throughput jitters.
+//! It is registered as the `#[global_allocator]` in two places:
 //!
 //! * the `experiments` binary (always), so `experiments batch --json`
 //!   reports measured heap allocations per request and
 //!   `scripts/check_qps.sh` can gate on the count;
 //! * this crate's test build (`#[cfg(test)]` in `lib.rs`), so the batch
-//!   smoke test can assert the arena-backed side allocates strictly less.
+//!   smoke test can assert the counter is live.
 //!
 //! When no registration is active (other binaries linking `bench`), the
 //! counter stays at zero and [`allocations`] reports that; callers treat

@@ -1,40 +1,34 @@
 //! The `experiments batch` workload: what the epoch-keyed pattern-match
-//! cache and batch-aware dispatch buy under realistic skewed traffic.
+//! cache and the register-IR backend buy under realistic skewed traffic.
 //!
 //! Many closed-loop clients replay a **seeded, skewed query mix** — a small
 //! hot set of templates receives most of the traffic, the rest of the
-//! evaluation workload fills the tail — against two services that differ
-//! *only* in the new machinery:
+//! evaluation workload fills the tail — against three services that differ
+//! in one setting each:
 //!
-//! * **batched+cached** — the default configuration: match cache on,
-//!   same-`(database, epoch)` batch dispatch on;
-//! * **per-request** — match cache disabled (`match_cache_bytes = 0`),
-//!   batching disabled (`batch_max = 1`); the plan cache stays on in both,
-//!   so the delta isolates match caching + batching, not compilation;
-//! * **cached per-request** — match cache on, batching off, register IR
-//!   on: every request executes individually against the warm shared
-//!   match cache;
-//! * **tree-walk** — the cached per-request configuration with the
-//!   register-IR backend forced off (`ir = false`). The cached/tree-walk
-//!   QPS ratio isolates what [`tlc::vm`] buys per request: with a warm
-//!   match cache the kernels barely run, so the delta is exactly the
-//!   per-request work the compiler hoisted out — the walker re-derives
-//!   every chain's cache key (APT fingerprints — string canonicalization
-//!   at every cacheable node) on each execution, while the compiled
-//!   program carries its keys from lowering. Batching is off on both
-//!   sides because batch coalescing would amortize that per-request work
-//!   across whole batches and mask the comparison.
-//! * **no-arena** — the batched+cached configuration with the pooled
-//!   execution arenas disabled (`arena_kb = 0`); the only difference from
-//!   the batched side is where intermediate buffers come from, so the
-//!   batched/no-arena *allocation* delta (measured with the counting
-//!   allocator, [`crate::alloc`]) is exactly what the arena saves.
+//! * **cached** — the default configuration: match cache on, register IR
+//!   on;
+//! * **uncached** — match cache disabled (`match_cache_bytes = 0`); the
+//!   plan cache stays on in both, so the cached/uncached delta isolates
+//!   match caching, not compilation;
+//! * **tree-walk** — the cached configuration with the register-IR backend
+//!   forced off (`ir = false`). The cached/tree-walk QPS ratio isolates
+//!   what [`tlc::vm`] buys per request: with a warm match cache the kernels
+//!   barely run, so the delta is exactly the per-request work the compiler
+//!   hoisted out — the walker re-derives every chain's cache key (APT
+//!   fingerprints — string canonicalization at every cacheable node) on
+//!   each execution, while the compiled program carries its keys from
+//!   lowering.
 //!
-//! Every answer from *both* services is byte-compared against a
+//! The cached side is bracketed by the counting allocator
+//! ([`crate::alloc`]), so the report carries its measured heap allocations
+//! per request — a deterministic figure `check_qps.sh` gates from above.
+//!
+//! Every answer from every service is byte-compared against a
 //! single-threaded reference computed up front; any mismatch is a
 //! correctness defect, not noise. The report carries QPS / exact latency
-//! quantiles for both sides, the match-cache hit rate, and the batch
-//! counters. Hot-swap staleness is covered by the companion soak
+//! quantiles for every side and the match-cache hit rate. Hot-swap
+//! staleness is covered by the companion soak
 //! ([`crate::concurrent::hot_swap_soak_with`] with a seeded mix), which
 //! runs the same skewed traffic while the snapshot is republished under it.
 
@@ -77,56 +71,41 @@ pub fn client_rng(seed: u64, client: usize) -> StdRng {
     StdRng::seed_from_u64(seed ^ (client as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
-/// One batched-vs-per-request comparison.
+/// One cached / uncached / tree-walk comparison.
 #[derive(Debug, Clone)]
 pub struct BatchReport {
-    /// The batched + match-cached side.
-    pub batched: LoadReport,
-    /// The per-request side (no match cache, no batching; register-IR
-    /// backend on, like every other side).
-    pub baseline: LoadReport,
-    /// The cached per-request side: match cache on, batching off,
-    /// register IR on.
+    /// The default side: match cache on, register IR on.
     pub cached: LoadReport,
-    /// The cached per-request side with the register-IR backend forced
-    /// off — identical to `cached` except every execution walks the plan
-    /// tree. The `cached`/`tree_walk` QPS ratio isolates what the IR buys
-    /// per request (chiefly: cache keys are compiled into the program
-    /// instead of re-derived per execution).
+    /// The match cache disabled; register IR on.
+    pub uncached: LoadReport,
+    /// The cached side with the register-IR backend forced off — identical
+    /// to `cached` except every execution walks the plan tree. The
+    /// `cached`/`tree_walk` QPS ratio isolates what the IR buys per request
+    /// (chiefly: cache keys are compiled into the program instead of
+    /// re-derived per execution).
     pub tree_walk: LoadReport,
-    /// The batched+cached configuration with the pooled execution arenas
-    /// disabled (`arena_kb = 0`) — the allocation-count control.
-    pub no_arena: LoadReport,
-    /// Answers (either side) that did not byte-match the single-threaded
+    /// Answers (any side) that did not byte-match the single-threaded
     /// reference. Must be zero.
     pub mismatches: u64,
-    /// Match-cache hit rate of the batched side, in `[0, 1]`.
+    /// Match-cache hit rate of the cached side, in `[0, 1]`.
     pub hit_rate: f64,
-    /// Batches the batched side dispatched.
-    pub batches: u64,
-    /// Largest batch the batched side dispatched.
-    pub max_batch: u64,
-    /// Measured heap allocations per request of the batched side (0.0
-    /// when the counting allocator is not registered in this build).
+    /// Measured heap allocations per request of the cached side (0.0 when
+    /// the counting allocator is not registered in this build).
     pub allocs_per_request: f64,
-    /// Measured heap allocations per request of the no-arena control.
-    pub no_arena_allocs_per_request: f64,
-    /// Arena-pool recycling counters of the batched side.
-    pub arena: service::pool::ArenaPoolStats,
 }
 
 impl BatchReport {
-    /// Batched-side QPS over per-request QPS.
+    /// Cached QPS over uncached QPS — what the match cache buys.
     pub fn speedup(&self) -> f64 {
-        if self.baseline.qps() > 0.0 {
-            self.batched.qps() / self.baseline.qps()
+        if self.uncached.qps() > 0.0 {
+            self.cached.qps() / self.uncached.qps()
         } else {
             f64::INFINITY
         }
     }
 
-    /// Cached per-request QPS with the IR backend on over the same
-    /// configuration with it off (tree walk) — the isolated IR win.
+    /// Cached QPS with the IR backend on over the same configuration with
+    /// it off (tree walk) — the isolated IR win.
     pub fn ir_speedup(&self) -> f64 {
         if self.tree_walk.qps() > 0.0 {
             self.cached.qps() / self.tree_walk.qps()
@@ -138,30 +117,9 @@ impl BatchReport {
     /// No mismatched answers and no failed requests on any side.
     pub fn clean(&self) -> bool {
         self.mismatches == 0
-            && self.batched.errors == 0
-            && self.baseline.errors == 0
             && self.cached.errors == 0
+            && self.uncached.errors == 0
             && self.tree_walk.errors == 0
-            && self.no_arena.errors == 0
-    }
-
-    /// Fraction of per-request heap allocations the arena removed, in
-    /// `[0, 1]` (batched vs the arena-disabled control). Zero when the
-    /// counting allocator is not registered.
-    pub fn arena_alloc_reduction(&self) -> f64 {
-        if self.no_arena_allocs_per_request <= 0.0 {
-            return 0.0;
-        }
-        (1.0 - self.allocs_per_request / self.no_arena_allocs_per_request).max(0.0)
-    }
-
-    /// Arena-pool reuse rate in `[0, 1]` (reused checkouts over all
-    /// checkouts of the batched side).
-    pub fn arena_reuse_rate(&self) -> f64 {
-        if self.arena.checkouts == 0 {
-            return 0.0;
-        }
-        self.arena.reuses as f64 / self.arena.checkouts as f64
     }
 
     /// The `BENCH_batch.json` document for this comparison (hand-rolled;
@@ -170,33 +128,17 @@ impl BatchReport {
         format!(
             "{{\"experiment\":\"batch\",\"factor\":{factor},\"clients\":{clients},\
              \"requests\":{requests},\"seed\":{seed},\
-             \"batched\":{},\"per_request\":{},\"cached_per_request\":{},\
-             \"tree_walk\":{},\"no_arena\":{},\"speedup\":{:.2},\
-             \"ir_speedup\":{:.2},\
-             \"match_cache_hit_rate\":{:.4},\"batches\":{},\"max_batch\":{},\
-             \"batched_allocs_per_request\":{:.1},\
-             \"no_arena_allocs_per_request\":{:.1},\
-             \"arena_alloc_reduction\":{:.4},\
-             \"arena_checkouts\":{},\"arena_reuses\":{},\"arena_discards\":{},\
-             \"arena_reuse_rate\":{:.4},\
+             \"cached\":{},\"uncached\":{},\"tree_walk\":{},\
+             \"speedup\":{:.2},\"ir_speedup\":{:.2},\
+             \"match_cache_hit_rate\":{:.4},\"allocs_per_request\":{:.1},\
              \"mismatches\":{}}}\n",
-            crate::rw::load_report_json(&self.batched),
-            crate::rw::load_report_json(&self.baseline),
             crate::rw::load_report_json(&self.cached),
+            crate::rw::load_report_json(&self.uncached),
             crate::rw::load_report_json(&self.tree_walk),
-            crate::rw::load_report_json(&self.no_arena),
             self.speedup(),
             self.ir_speedup(),
             self.hit_rate,
-            self.batches,
-            self.max_batch,
             self.allocs_per_request,
-            self.no_arena_allocs_per_request,
-            self.arena_alloc_reduction(),
-            self.arena.checkouts,
-            self.arena.reuses,
-            self.arena.discards,
-            self.arena_reuse_rate(),
             self.mismatches,
         )
     }
@@ -205,37 +147,24 @@ impl BatchReport {
     pub fn render(&self, factor: f64) -> String {
         format!(
             "Skewed-mix replay ({HOT_TRAFFIC_PCT}% of traffic on {} hot queries), XMark factor {factor}\n\
-             batched+cached : {}\n\
-             per-request    : {}\n\
-             cached (ir on) : {}\n\
+             cached (ir on)    : {}\n\
+             uncached          : {}\n\
              tree-walk (ir off): {}\n\
-             no-arena (arena-kb 0): {}\n\
-             throughput gain from match cache + batching: {:.2}x\n\
+             throughput gain from the match cache: {:.2}x\n\
              per-request gain from register IR (ir on vs off): {:.2}x\n\
              ir non-regression: {}\n\
-             match cache hit rate: {:.1}%  batches: {}  max batch: {}\n\
-             heap allocs/request: batched {:.0} vs arena-off {:.0} ({:.1}% fewer)\n\
-             arena pool: {} checkout(s), {} reuse(s) ({:.1}% reuse rate), {} discard(s)\n\
+             match cache hit rate: {:.1}%\n\
+             heap allocs/request (cached): {:.0}\n\
              byte mismatches vs single-threaded reference: {}\n",
             HOT_SET.len(),
-            self.batched.summary(),
-            self.baseline.summary(),
             self.cached.summary(),
+            self.uncached.summary(),
             self.tree_walk.summary(),
-            self.no_arena.summary(),
             self.speedup(),
             self.ir_speedup(),
             if self.ir_speedup() >= 0.85 { "ok" } else { "REGRESSED" },
             self.hit_rate * 100.0,
-            self.batches,
-            self.max_batch,
             self.allocs_per_request,
-            self.no_arena_allocs_per_request,
-            self.arena_alloc_reduction() * 100.0,
-            self.arena.checkouts,
-            self.arena.reuses,
-            self.arena_reuse_rate() * 100.0,
-            self.arena.discards,
             self.mismatches,
         )
     }
@@ -323,23 +252,17 @@ fn counted_mix(
     (report, per_request)
 }
 
-/// The `experiments batch` experiment: identical skewed traffic through the
-/// batched+cached configuration and the per-request configuration, against
-/// the same database, every answer byte-checked. Workers are kept below
-/// the client count so the admission queue actually holds same-template
-/// jobs for a worker to batch.
-pub fn batched_vs_per_request(
-    factor: f64,
-    clients: usize,
-    requests: usize,
-    seed: u64,
-) -> BatchReport {
+/// The `experiments batch` experiment: identical skewed traffic through
+/// the cached, uncached and tree-walk configurations, against the same
+/// database, every answer byte-checked. Workers are kept below the client
+/// count so requests queue, as they do under load.
+pub fn cached_vs_uncached(factor: f64, clients: usize, requests: usize, seed: u64) -> BatchReport {
     let db = Arc::new(crate::setup(factor));
-    batched_vs_per_request_on(db, clients, requests, seed)
+    cached_vs_uncached_on(db, clients, requests, seed)
 }
 
-/// [`batched_vs_per_request`] over an already-built database.
-pub fn batched_vs_per_request_on(
+/// [`cached_vs_uncached`] over an already-built database.
+pub fn cached_vs_uncached_on(
     db: Arc<Database>,
     clients: usize,
     requests: usize,
@@ -351,49 +274,32 @@ pub fn batched_vs_per_request_on(
         .map(|q| baselines::run(Engine::Tlc, q, &db).expect("single-threaded reference"))
         .collect();
     let workers = (clients / 2).clamp(1, 4);
-    let batched_cfg =
+    let cached_cfg =
         ServiceConfig { workers, queue_depth: clients.max(4) * 4, ..ServiceConfig::default() };
-    let baseline_cfg = ServiceConfig { match_cache_bytes: 0, batch_max: 1, ..batched_cfg.clone() };
-    let cached_cfg = ServiceConfig { batch_max: 1, ..batched_cfg.clone() };
+    let uncached_cfg = ServiceConfig { match_cache_bytes: 0, ..cached_cfg.clone() };
     let tree_walk_cfg = ServiceConfig { ir: false, ..cached_cfg.clone() };
-    let no_arena_cfg = ServiceConfig { arena_kb: 0, ..batched_cfg.clone() };
     let mismatches = AtomicU64::new(0);
 
-    let batched_svc = Service::new(Arc::clone(&db), batched_cfg);
-    let (batched, allocs_per_request) =
-        counted_mix(&batched_svc, clients, requests, seed, &texts, &refs, &mismatches);
-    let cache = batched_svc.match_cache_stats().expect("match cache enabled");
+    let cached_svc = Service::new(Arc::clone(&db), cached_cfg);
+    let (cached, allocs_per_request) =
+        counted_mix(&cached_svc, clients, requests, seed, &texts, &refs, &mismatches);
+    let cache = cached_svc.match_cache_stats().expect("match cache enabled");
     let lookups = cache.hits + cache.misses;
     let hit_rate = if lookups == 0 { 0.0 } else { cache.hits as f64 / lookups as f64 };
-    let pool = batched_svc.batch_stats();
-    let arena = batched_svc.arena_stats();
 
-    let baseline_svc = Service::new(Arc::clone(&db), baseline_cfg);
-    let baseline = run_mix(&baseline_svc, clients, requests, seed, &texts, &refs, &mismatches);
+    let uncached_svc = Service::new(Arc::clone(&db), uncached_cfg);
+    let uncached = run_mix(&uncached_svc, clients, requests, seed, &texts, &refs, &mismatches);
 
-    let cached_svc = Service::new(Arc::clone(&db), cached_cfg);
-    let cached = run_mix(&cached_svc, clients, requests, seed, &texts, &refs, &mismatches);
-
-    let tree_walk_svc = Service::new(Arc::clone(&db), tree_walk_cfg);
+    let tree_walk_svc = Service::new(db, tree_walk_cfg);
     let tree_walk = run_mix(&tree_walk_svc, clients, requests, seed, &texts, &refs, &mismatches);
 
-    let no_arena_svc = Service::new(db, no_arena_cfg);
-    let (no_arena, no_arena_allocs_per_request) =
-        counted_mix(&no_arena_svc, clients, requests, seed, &texts, &refs, &mismatches);
-
     BatchReport {
-        batched,
-        baseline,
         cached,
+        uncached,
         tree_walk,
-        no_arena,
         mismatches: mismatches.into_inner(),
         hit_rate,
-        batches: pool.batches,
-        max_batch: pool.max_batch,
         allocs_per_request,
-        no_arena_allocs_per_request,
-        arena,
     }
 }
 
@@ -431,40 +337,18 @@ mod tests {
 
     #[test]
     fn batch_experiment_is_clean_and_hits_the_match_cache() {
-        let report = batched_vs_per_request(0.0005, 4, 30, 7);
+        let report = cached_vs_uncached(0.0005, 4, 30, 7);
         assert!(report.clean(), "defects: {}", report.render(0.0005));
-        assert_eq!(
-            report.batched.ok
-                + report.baseline.ok
-                + report.cached.ok
-                + report.tree_walk.ok
-                + report.no_arena.ok,
-            5 * 4 * 30
-        );
+        assert_eq!(report.cached.ok + report.uncached.ok + report.tree_walk.ok, 3 * 4 * 30);
         assert!(report.hit_rate > 0.0, "hot set never hit the match cache");
-        assert!(report.batches > 0);
-        assert!(report.arena.checkouts > 0, "batched side never checked out an arena");
-        assert!(report.arena.reuses > 0, "the pool never recycled an arena across requests");
-        // The test build registers the counting allocator, so the arena
-        // must show a *measured* reduction in heap allocations/request
-        // against the identical configuration with arenas off.
         assert!(report.allocs_per_request > 0.0, "counting allocator not active");
-        assert!(
-            report.allocs_per_request < report.no_arena_allocs_per_request,
-            "arena did not reduce allocations: {:.0} vs {:.0}",
-            report.allocs_per_request,
-            report.no_arena_allocs_per_request
-        );
         let rendered = report.render(0.0005);
         assert!(rendered.contains("match cache hit rate"), "{rendered}");
         assert!(rendered.contains("register IR"), "{rendered}");
         assert!(rendered.contains("heap allocs/request"), "{rendered}");
-        assert!(rendered.contains("arena pool:"), "{rendered}");
         let json = report.to_json(0.0005, 4, 30, 7);
         assert!(json.contains("\"tree_walk\":"), "{json}");
         assert!(json.contains("\"ir_speedup\":"), "{json}");
-        assert!(json.contains("\"no_arena\":"), "{json}");
-        assert!(json.contains("\"batched_allocs_per_request\":"), "{json}");
-        assert!(json.contains("\"arena_reuse_rate\":"), "{json}");
+        assert!(json.contains("\"allocs_per_request\":"), "{json}");
     }
 }

@@ -10,7 +10,6 @@
 //! experiments rw [--factor F] [--ops N] [--seed S] [--write-fractions F1,F2,...] [--json FILE]
 //! experiments hotswap [--factor F] [--threads N] [--rounds R] [--swap-ms MS] [--json FILE]
 //! experiments lintcheck [--factor F] [--plans N] [--seed S] [--json FILE]
-//! experiments parallel [--factor F] [--clients N] [--requests R] [--seed S] [--json FILE]
 //! experiments check [--factor F]     # store invariant check on generated data
 //! experiments all   [--factor F]
 //! ```
@@ -21,13 +20,12 @@
 //! query from scratch.
 //!
 //! `batch` replays a seeded skewed query mix (a hot set takes most of the
-//! traffic) from N closed-loop clients through the batched + match-cached
-//! service, through a per-request baseline (match cache and batching
-//! off), and through the same per-request baseline with the register-IR
-//! backend forced off (`ir = false`) — the per-request/tree-walk QPS
-//! ratio isolates the IR win — byte-checking every answer against a
-//! single-threaded reference. Exits non-zero on any mismatch, failed
-//! request, or a cold match cache.
+//! traffic) from N closed-loop clients through the default match-cached
+//! service, through an uncached one (match cache off), and through the
+//! cached one with the register-IR backend forced off (`ir = false`) —
+//! the cached/tree-walk QPS ratio isolates the IR win — byte-checking
+//! every answer against a single-threaded reference. Exits non-zero on
+//! any mismatch, failed request, or a cold match cache.
 //!
 //! `rw` drives a seeded mixed read/write stream through the in-place
 //! update engine at each configured write fraction: writes go through the
@@ -45,16 +43,6 @@
 //! every `--swap-ms` milliseconds; every answer is byte-checked against a
 //! single-threaded reference for the epoch it reports. Exits non-zero on
 //! any failed request or wrong-snapshot answer.
-//!
-//! `parallel` sweeps the intra-query sharding subsystem: each heavy
-//! workload query (x10, Q2) runs through `tlc::par` at 1/2/4/8 shards on
-//! both backends, and the same mix is replayed through a sharded service
-//! versus a sequential one — every answer byte-checked against the
-//! single-threaded reference. Speedup is reported but never gated (it is
-//! bounded by the host's core count, which the report prints); the run
-//! exits non-zero only on a byte mismatch, a failed request, or a sharded
-//! service that never actually sharded. `--json` writes the
-//! machine-readable report (`BENCH_parallel.json` in CI).
 //!
 //! `lintcheck` is the static-analysis soundness oracle: N seeded random
 //! plans (default 300), each checked for runtime conformance to its
@@ -158,16 +146,6 @@ fn main() {
                 flag_value(&args, "--factor").and_then(|v| v.parse().ok()).unwrap_or(0.0005);
             run_lintcheck(factor, plans, seed, flag_value(&args, "--json"));
         }
-        "parallel" => {
-            let clients = flag_value(&args, "--clients").and_then(|v| v.parse().ok()).unwrap_or(2);
-            let requests =
-                flag_value(&args, "--requests").and_then(|v| v.parse().ok()).unwrap_or(6);
-            let seed = flag_value(&args, "--seed").and_then(|v| v.parse().ok()).unwrap_or(23);
-            // Big enough that per-shard work dwarfs planning and merge —
-            // the regime the speedup curve is about.
-            let factor = flag_value(&args, "--factor").and_then(|v| v.parse().ok()).unwrap_or(0.05);
-            run_parallel(factor, clients, requests, seed, flag_value(&args, "--json"));
-        }
         "check" => run_check(factor),
         "all" => {
             run_fig15(factor, budget, None);
@@ -180,7 +158,7 @@ fn main() {
         }
         other => {
             eprintln!(
-                "unknown command {other:?}; use fig15|fig16|fig17|stats|concurrent|batch|rw|hotswap|lintcheck|parallel|check|all"
+                "unknown command {other:?}; use fig15|fig16|fig17|stats|concurrent|batch|rw|hotswap|lintcheck|check|all"
             );
             std::process::exit(2);
         }
@@ -230,15 +208,15 @@ fn run_concurrent(factor: f64, threads: usize, rounds: usize, json: Option<&str>
     }
 }
 
-/// Batched + match-cached service versus per-request execution on a seeded
-/// skewed mix, every answer byte-checked. Exits non-zero if any answer
+/// Match-cached service versus uncached and tree-walk execution on a
+/// seeded skewed mix, every answer byte-checked. Exits non-zero if any answer
 /// mismatched the single-threaded reference, any request failed, or the
 /// match cache never hit (the regression CI guards against).
 fn run_batch(factor: f64, clients: usize, requests: usize, seed: u64, json: Option<&str>) {
     eprintln!(
         "generating XMark factor {factor}; {clients} clients x {requests} requests, seed {seed} ..."
     );
-    let report = bench::batch::batched_vs_per_request(factor, clients, requests, seed);
+    let report = bench::batch::cached_vs_uncached(factor, clients, requests, seed);
     print!("{}", report.render(factor));
     if let Some(path) = json {
         write_json(path, &report.to_json(factor, clients, requests, seed));
@@ -247,8 +225,8 @@ fn run_batch(factor: f64, clients: usize, requests: usize, seed: u64, json: Opti
         eprintln!(
             "batch run FAILED: {} mismatch(es), {} / {} / {} error(s)",
             report.mismatches,
-            report.batched.errors,
-            report.baseline.errors,
+            report.cached.errors,
+            report.uncached.errors,
             report.tree_walk.errors
         );
         std::process::exit(1);
@@ -257,40 +235,7 @@ fn run_batch(factor: f64, clients: usize, requests: usize, seed: u64, json: Opti
         eprintln!("batch run FAILED: the match cache never hit on the hot set");
         std::process::exit(1);
     }
-    if report.no_arena_allocs_per_request > 0.0
-        && report.allocs_per_request >= report.no_arena_allocs_per_request
-    {
-        eprintln!(
-            "batch run FAILED: the execution arena did not reduce heap allocations per \
-             request ({:.0} with arenas vs {:.0} without)",
-            report.allocs_per_request, report.no_arena_allocs_per_request
-        );
-        std::process::exit(1);
-    }
     println!("batch run clean: every answer matched the single-threaded reference");
-}
-
-/// Intra-query sharding sweep plus the composed service scenario, every
-/// answer byte-checked. Exits non-zero on any mismatch or failed request,
-/// or if the sharded service never sharded — never on the speedup itself.
-fn run_parallel(factor: f64, clients: usize, requests: usize, seed: u64, json: Option<&str>) {
-    eprintln!(
-        "generating XMark factor {factor}; shard counts {:?}, {clients} clients x {requests} requests, seed {seed} ...",
-        bench::parallel::SHARD_COUNTS
-    );
-    let report = bench::parallel::sweep(factor, clients, requests, seed);
-    print!("{}", report.render());
-    if let Some(path) = json {
-        write_json(path, &report.to_json(clients, requests));
-    }
-    if !report.clean() {
-        eprintln!(
-            "parallel run FAILED: {} mismatch(es), {} / {} error(s), {} shard job(s)",
-            report.mismatches, report.sharded.errors, report.sequential.errors, report.shard_jobs
-        );
-        std::process::exit(1);
-    }
-    println!("parallel run clean: every sharded answer matched the single-threaded reference");
 }
 
 fn write_json(path: &str, doc: &str) {

@@ -208,7 +208,7 @@ pub fn hot_swap_soak(
 /// seeded skewed query mix.
 ///
 /// The configuration knob exists so the soak can run with the match cache
-/// and batch dispatch engaged (the default [`ServiceConfig`]) *or* in
+/// engaged (the default [`ServiceConfig`]) *or* in
 /// per-request mode — the epoch-parity byte check is the property test that
 /// a cached pattern match never survives a snapshot swap. With
 /// `mix_seed: Some(seed)` each client replays the reproducible skewed mix
@@ -386,9 +386,9 @@ mod tests {
     }
 
     #[test]
-    fn batched_cached_soak_stays_clean_across_mixes_and_swaps() {
+    fn cached_soak_stays_clean_across_mixes_and_swaps() {
         // The property the epoch-keyed match cache must uphold: with the
-        // cache and batch dispatch fully engaged, every answer still
+        // cache fully engaged, every answer still
         // byte-matches the single-threaded reference for its epoch, across
         // different seeded skewed mixes and concurrent snapshot swaps.
         for seed in [1u64, 97] {

@@ -24,7 +24,6 @@ pub mod batch;
 pub mod concurrent;
 pub mod lintcheck;
 pub mod micro;
-pub mod parallel;
 pub mod rw;
 
 use baselines::Engine;

@@ -227,8 +227,7 @@ pub fn exec_stats_json(s: &ExecStats) -> String {
     format!(
         "{{\"probes\":{},\"nodes_inspected\":{},\"pattern_matches\":{},\"trees_built\":{},\
          \"subtrees_materialized\":{},\"join_steps\":{},\"candidate_fetches\":{},\
-         \"struct_cmps\":{},\"match_cache_hits\":{},\"match_cache_misses\":{},\
-         \"arena_bytes\":{},\"arena_resets\":{},\"fallback_allocs\":{}}}",
+         \"struct_cmps\":{},\"match_cache_hits\":{},\"match_cache_misses\":{}}}",
         s.probes,
         s.nodes_inspected,
         s.pattern_matches,
@@ -239,9 +238,6 @@ pub fn exec_stats_json(s: &ExecStats) -> String {
         s.struct_cmps,
         s.match_cache_hits,
         s.match_cache_misses,
-        s.arena_bytes,
-        s.arena_resets,
-        s.fallback_allocs,
     )
 }
 

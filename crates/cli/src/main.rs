@@ -605,10 +605,6 @@ impl Shell {
                                 stats.struct_cmps,
                                 started.elapsed()
                             );
-                            println!(
-                                "-- arena: {} B high-water, {} fallback alloc(s)",
-                                stats.arena_bytes, stats.fallback_allocs
-                            );
                         }
                     }
                     Err(e) => println!("error: {e}"),

@@ -92,18 +92,8 @@ const USAGE: &str = "usage: tlc-serve [OPTIONS]
   --cache N         plan cache capacity in entries
   --match-cache-mb N  pattern-match cache byte budget in MiB (0 disables;
                     default 32)
-  --batch-max N     max same-(db,epoch) jobs one worker claims per dispatch
-                    (1 disables batching; default 8)
   --ir on|off       execute cached plans through the register-IR backend
                     (lowered once per plan, byte-identical output; default on)
-  --shards N        split eligible queries into up to N interval-range shards
-                    executed as parallel pool jobs and merged in document
-                    order (0 disables; default 0)
-  --shard-min N     anchor-candidate count below which a shardable query
-                    still runs sequentially (default 512)
-  --arena-kb N      per-request execution arena: retained-capacity budget in
-                    KiB for the pooled buffer arenas workers recycle across
-                    requests (0 disables pooling; default 256)
   --deadline-ms N   default per-request wall-clock budget
   --client-wait-ms N  max time a connection waits for a reply before
                     abandoning it (default: wait forever)
@@ -169,28 +159,12 @@ fn parse_args() -> Result<Options, String> {
                     .map_err(|e| format!("--match-cache-mb: {e}"))?;
                 opts.config.match_cache_bytes = mb << 20;
             }
-            "--batch-max" => {
-                opts.config.batch_max =
-                    value("--batch-max")?.parse().map_err(|e| format!("--batch-max: {e}"))?
-            }
             "--ir" => {
                 opts.config.ir = match value("--ir")?.as_str() {
                     "on" | "true" | "1" => true,
                     "off" | "false" | "0" => false,
                     other => return Err(format!("--ir wants on|off, got {other:?}")),
                 }
-            }
-            "--shards" => {
-                opts.config.shard_max =
-                    value("--shards")?.parse().map_err(|e| format!("--shards: {e}"))?
-            }
-            "--shard-min" => {
-                opts.config.shard_min_candidates =
-                    value("--shard-min")?.parse().map_err(|e| format!("--shard-min: {e}"))?
-            }
-            "--arena-kb" => {
-                opts.config.arena_kb =
-                    value("--arena-kb")?.parse().map_err(|e| format!("--arena-kb: {e}"))?
             }
             "--deadline-ms" => {
                 let ms: u64 =

@@ -32,10 +32,9 @@
 //! * **worker pool** ([`pool`]) — a fixed set of executor threads behind a
 //!   bounded admission queue. A full queue rejects new work immediately
 //!   ([`ServiceError::Overloaded`]) instead of queueing without bound.
-//!   Dispatch is **batch-aware**: a worker picking up a job also claims
-//!   queued jobs of the same `(database, epoch)` group (up to
-//!   [`ServiceConfig::batch_max`]) and runs them back to back, sharing the
-//!   snapshot's warm match-cache entries and index postings.
+//!   Workers take one job at a time in admission order; a job that panics
+//!   is contained on its worker and answered with
+//!   [`ServiceError::Internal`].
 //! * **deadlines** — every request can carry a wall-clock budget; time
 //!   spent queued counts against it. The TLC executor checks the deadline
 //!   between operators ([`tlc::execute_with_deadline`]), so an over-budget
@@ -81,14 +80,10 @@ use metrics::{Metrics, Outcome, Snapshot};
 use pool::{Pool, Reply, SubmitError};
 use std::fmt;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::RecvTimeoutError;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use tlc::par::{
-    plan_shards, resolve_path, run_shard, run_shard_vm, ShardEnv, ShardPlan, ShardPolicy,
-};
-use tlc::{AnchorRange, ExecStats, Plan, ResultTree};
+use tlc::{ExecStats, Plan};
 use xmldb::Database;
 
 /// Configuration for a [`Service`].
@@ -120,12 +115,6 @@ pub struct ServiceConfig {
     /// disables the cache entirely — every request then re-runs its
     /// structural matches, which is the right baseline for benchmarking.
     pub match_cache_bytes: usize,
-    /// Upper bound on how many same-`(database, epoch)` jobs one worker
-    /// claims per dispatch (see [`pool::Pool::batched`]). `1` disables
-    /// batching; batching never delays admission, it only co-locates
-    /// already-queued work so consecutive executions share the snapshot's
-    /// warm match-cache entries and index postings.
-    pub batch_max: usize,
     /// Execute cached plans through the register-IR backend ([`tlc::vm`]):
     /// each plan-cache entry is lowered once into a verified
     /// [`tlc::vm::Program`] (fused operator spines, compiled match-cache
@@ -134,24 +123,6 @@ pub struct ServiceConfig {
     /// baseline for benchmarking. Plans the lowerer declines fall back to
     /// the tree walk either way.
     pub ir: bool,
-    /// Upper bound on intra-query shards per execution wave
-    /// ([`tlc::par::ShardPolicy::max_shards`]). `0` (the default) disables
-    /// sharding entirely; values of 2+ let eligible requests split their
-    /// anchor candidates into up to this many range windows, executed as
-    /// independent pool jobs and merged back in document order. Plans the
-    /// shard planner declines run sequentially either way.
-    pub shard_max: usize,
-    /// Anchor-candidate count below which a shardable plan still executes
-    /// sequentially — per-shard setup cannot amortize on small inputs
-    /// ([`tlc::par::ShardPolicy::min_candidates`]).
-    pub shard_min_candidates: usize,
-    /// Retained-byte budget, in KiB, of each pooled execution arena
-    /// ([`tlc::ExecArena`]); the `--arena-kb` flag. Every request (and
-    /// every shard job) checks a private arena out of a service-wide
-    /// [`pool::ArenaPool`] and successful jobs return it reset-not-freed,
-    /// so one request's buffer allocations become the next one's capacity.
-    /// `0` disables recycling entirely — the seed allocation behavior.
-    pub arena_kb: usize,
 }
 
 impl Default for ServiceConfig {
@@ -165,11 +136,7 @@ impl Default for ServiceConfig {
             default_deadline: None,
             client_wait: None,
             match_cache_bytes: 32 << 20,
-            batch_max: 8,
             ir: true,
-            shard_max: 0,
-            shard_min_candidates: 512,
-            arena_kb: tlc::DEFAULT_ARENA_BYTES / 1024,
         }
     }
 }
@@ -204,6 +171,10 @@ pub enum ServiceError {
     /// An in-place update ([`Service::apply_update`]) was rejected by the
     /// update engine or referenced an unknown document.
     Update(String),
+    /// The request's work panicked on its worker. The panic was contained
+    /// there: the worker and the caller's connection stay usable. Carries
+    /// the panic message.
+    Internal(String),
 }
 
 impl fmt::Display for ServiceError {
@@ -222,6 +193,7 @@ impl fmt::Display for ServiceError {
             }
             ServiceError::Unsupported(m) => write!(f, "unsupported: {m}"),
             ServiceError::Update(m) => write!(f, "update error: {m}"),
+            ServiceError::Internal(m) => write!(f, "internal error: {m}"),
         }
     }
 }
@@ -286,64 +258,6 @@ pub struct Response {
 }
 
 type WorkResult = Result<(String, ExecStats), ServiceError>;
-
-/// Shard jobs flow through the same pool as whole requests, so they share
-/// [`WorkResult`]; their tree slices travel through a side slot instead of
-/// the reply's string (which stays empty), because only the caller — which
-/// holds every shard of the wave — can merge and serialize them.
-type ShardSlot = Arc<Mutex<Option<Vec<ResultTree>>>>;
-type ShardWork = Box<dyn FnOnce() -> WorkResult + Send>;
-
-/// Why a shard wave did not produce a merged result.
-enum ShardFail {
-    /// The queue could not take the whole wave; run sequentially instead.
-    Overflow,
-    /// A real failure to surface to the caller (deadline, execution error,
-    /// shutdown, abandonment).
-    Fatal(ServiceError),
-}
-
-/// Stores a finished shard's trees in its side slot (success) or raises
-/// the shared cancel flag (failure) — on the worker thread, so siblings
-/// start winding down before the caller even sees the reply. A successful
-/// shard's arena goes back to the pool; a failed (or cancelled) shard's
-/// arena already died with its context, so only the discard is recorded —
-/// no arena is ever reused across a cancelled shard wave.
-fn deposit(
-    result: tlc::Result<(Vec<ResultTree>, ExecStats, tlc::ExecArena)>,
-    slot: &ShardSlot,
-    cancel: &AtomicBool,
-    arenas: &pool::ArenaPool,
-) -> WorkResult {
-    match result {
-        Ok((trees, st, arena)) => {
-            arenas.restore(arena);
-            *slot.lock().unwrap() = Some(trees);
-            Ok((String::new(), st))
-        }
-        Err(e) => {
-            arenas.discard();
-            cancel.store(true, Ordering::Relaxed);
-            Err(match e {
-                tlc::Error::DeadlineExceeded => ServiceError::DeadlineExceeded,
-                other => ServiceError::Execute(other),
-            })
-        }
-    }
-}
-
-/// Keeps the most informative of two shard errors: the first root cause
-/// beats later ones, and anything beats a sibling's `Cancelled` (which
-/// only says *someone else* failed first).
-fn prefer_root_cause(first: &mut Option<ServiceError>, e: ServiceError) {
-    let cancelled =
-        |err: &ServiceError| matches!(err, ServiceError::Execute(tlc::Error::Cancelled));
-    match first {
-        None => *first = Some(e),
-        Some(cur) if cancelled(cur) && !cancelled(&e) => *first = Some(e),
-        Some(_) => {}
-    }
-}
 
 /// One node-level mutation for [`Service::apply_update`]. Documents are
 /// addressed by logical name, nodes by their pre ordinal within the
@@ -433,14 +347,6 @@ pub struct Service {
     default_deadline: Option<Duration>,
     client_wait: Option<Duration>,
     queue_depth: usize,
-    shard_max: usize,
-    shard_min_candidates: usize,
-    /// Recycles per-request execution arenas across batched jobs and shard
-    /// waves (reset, don't free). Shared with every work closure.
-    arenas: Arc<pool::ArenaPool>,
-    /// Monotonic per-request suffix for shard batching groups, so one
-    /// request's shards batch together without coalescing with another's.
-    shard_seq: AtomicU64,
     /// Serializes [`Service::apply_update`] commits so two concurrent
     /// updates cannot clone the same base snapshot and silently lose one
     /// of the two mutations. Reads never take this lock.
@@ -462,17 +368,10 @@ impl Service {
             cache: Mutex::new(LruCache::new(config.plan_cache_capacity)),
             matches,
             metrics: Metrics::new(),
-            pool: Pool::batched(config.workers, config.queue_depth, config.batch_max),
+            pool: Pool::new(config.workers, config.queue_depth),
             default_deadline: config.default_deadline,
             client_wait: config.client_wait,
             queue_depth: config.queue_depth,
-            shard_max: config.shard_max,
-            shard_min_candidates: config.shard_min_candidates,
-            arenas: Arc::new(pool::ArenaPool::new(
-                config.arena_kb.saturating_mul(1024),
-                config.workers.max(1),
-            )),
-            shard_seq: AtomicU64::new(0),
             commit: Mutex::new(()),
         }
     }
@@ -899,25 +798,43 @@ impl Service {
         query: &str,
         budget: Option<Duration>,
     ) -> Result<Response, ServiceError> {
-        let admitted = Instant::now();
-        let deadline = budget.map(|b| admitted + b);
         if self.engine == Engine::Nav {
             // Interpreted engine: no plan, no cache; the deadline still
-            // guards queue time (checked at dequeue). The resolved entry
-            // pins the snapshot for the whole interpretation.
-            let entry = self.entry(db)?;
-            let snapshot = Arc::clone(entry.database());
+            // guards queue time (checked at dequeue).
             let text = query.to_string();
             let label = cache::normalize_query(query);
-            let work: Box<dyn FnOnce() -> WorkResult + Send> = Box::new(move || {
-                baselines::run(Engine::Nav, &text, &snapshot)
-                    .map(|out| (out, ExecStats::new()))
-                    .map_err(ServiceError::Execute)
+            return self.run_on_snapshot(db, &label, budget, move |snapshot| {
+                baselines::run(Engine::Nav, &text, snapshot).map_err(ServiceError::Execute)
             });
-            return self.dispatch(label, false, &entry, admitted, deadline, work);
         }
+        let admitted = Instant::now();
+        let deadline = budget.map(|b| admitted + b);
         let (handle, cached) = self.prepare_inner(db, query)?;
         self.execute_handle(&handle, cached, admitted, deadline)
+    }
+
+    /// Runs `work` over the current snapshot of database `db` on the worker
+    /// pool, as one request labelled `label`: the same admission, deadline,
+    /// panic containment and metrics path a query takes. The resolved entry
+    /// pins the snapshot for the whole run. The interpreted NAV engine is
+    /// served through this; `work` returns the reply text.
+    pub fn run_on_snapshot<F>(
+        &self,
+        db: &str,
+        label: &str,
+        budget: Option<Duration>,
+        work: F,
+    ) -> Result<Response, ServiceError>
+    where
+        F: FnOnce(&Database) -> Result<String, ServiceError> + Send + 'static,
+    {
+        let admitted = Instant::now();
+        let deadline = budget.map(|b| admitted + b);
+        let entry = self.entry(db)?;
+        let snapshot = Arc::clone(entry.database());
+        let work: Box<dyn FnOnce() -> WorkResult + Send> =
+            Box::new(move || work(&snapshot).map(|out| (out, ExecStats::new())));
+        self.dispatch(label.to_string(), false, &entry, admitted, deadline, work)
     }
 
     /// Executes a prepared plan under the default deadline, against the
@@ -953,34 +870,6 @@ impl Service {
         } else {
             None
         };
-        // Intra-query sharding: decided on the caller's thread, before any
-        // pool submission, so shard jobs are ordinary pool work and a
-        // worker never blocks waiting on work it would itself have to run.
-        if self.shard_max >= 2 {
-            let policy = ShardPolicy {
-                max_shards: self.shard_max,
-                min_candidates: self.shard_min_candidates,
-            };
-            match plan_shards(handle.entry.database(), handle.cached.plan(), policy) {
-                Ok(sp) => {
-                    match self.execute_sharded_handle(
-                        handle,
-                        &sp,
-                        program.clone(),
-                        cached,
-                        admitted,
-                        deadline,
-                    ) {
-                        Ok(resp) => return Ok(resp),
-                        // A full queue rejects the whole wave; the request
-                        // still runs, sequentially, below.
-                        Err(ShardFail::Overflow) => self.metrics.record_shard_fallback(),
-                        Err(ShardFail::Fatal(e)) => return Err(e),
-                    }
-                }
-                Err(_) => self.metrics.record_shard_fallback(),
-            }
-        }
         // The executor sees the match store through a view scoped to this
         // request's `(database, epoch)` — the scoping, not the executor,
         // is what makes serving across hot swaps impossible.
@@ -991,37 +880,18 @@ impl Service {
                 handle.entry.epoch(),
             )) as Arc<dyn tlc::MatchCache>
         });
-        let arenas = Arc::clone(&self.arenas);
         let work: Box<dyn FnOnce() -> WorkResult + Send> = Box::new(move || {
-            let (arena, recycled) = arenas.checkout();
             let mut ctx = tlc::ExecCtx::new();
             ctx.deadline = deadline;
             ctx.cache = match_cache;
-            ctx.arena = arena;
-            ctx.stats.arena_resets = recycled as u64;
             let result = match &program {
                 Some(prog) => tlc::vm::run(&db, prog, &mut ctx),
                 None => tlc::execute_with_ctx(&db, &plan, &mut ctx),
             };
             match result {
-                Ok(trees) => {
-                    let output = tlc::serialize_results(&db, &trees);
-                    // Park the result buffer and capture the counters only
-                    // then, so the reported high-water mark covers it; the
-                    // arena goes back to the pool for the next request.
-                    ctx.free_trees(trees);
-                    let stats = ctx.stats;
-                    arenas.restore(std::mem::take(&mut ctx.arena));
-                    Ok((output, stats))
-                }
-                Err(e) => {
-                    // Failed or cancelled: the arena dies with the context.
-                    arenas.discard();
-                    Err(match e {
-                        tlc::Error::DeadlineExceeded => ServiceError::DeadlineExceeded,
-                        other => ServiceError::Execute(other),
-                    })
-                }
+                Ok(trees) => Ok((tlc::serialize_results(&db, &trees), ctx.stats)),
+                Err(tlc::Error::DeadlineExceeded) => Err(ServiceError::DeadlineExceeded),
+                Err(other) => Err(ServiceError::Execute(other)),
             }
         });
         self.dispatch(
@@ -1034,269 +904,6 @@ impl Service {
         )
     }
 
-    /// Runs one request through the intra-query sharding path: stage waves
-    /// (each join's right child, computed once) through the worker pool,
-    /// then the final anchor-sharded wave with stage results injected, then
-    /// the document-order merge on the caller's thread. The register-IR
-    /// backend runs whole programs per shard instead of staging. Output is
-    /// byte-identical to the sequential path.
-    fn execute_sharded_handle(
-        &self,
-        handle: &PlanHandle,
-        sp: &ShardPlan,
-        program: Option<Arc<tlc::vm::Program>>,
-        cache_hit: bool,
-        admitted: Instant,
-        deadline: Option<Instant>,
-    ) -> Result<Response, ShardFail> {
-        let db = Arc::clone(handle.entry.database());
-        let plan = Arc::clone(handle.cached.plan());
-        let cancel = Arc::new(AtomicBool::new(false));
-        let seq = self.shard_seq.fetch_add(1, Ordering::Relaxed);
-        let group: Arc<str> = Arc::from(
-            format!("{}\u{1}{}\u{1}shard-{seq}", handle.entry.name(), handle.entry.epoch())
-                .as_str(),
-        );
-        let mut stats = ExecStats::new();
-        let mut shard_jobs = 0u64;
-        let mut tmp_slot = 1u64; // slot 0 is the sequential path's
-        let parts: Vec<Vec<ResultTree>> = match program {
-            Some(prog) => {
-                // Whole program per shard: a lowered program has no
-                // injection point, so each shard re-derives the right
-                // sides under its own anchor window.
-                let lcl = sp.anchor_lcl;
-                let wave: Vec<(ShardSlot, ShardWork)> = sp
-                    .ranges
-                    .iter()
-                    .enumerate()
-                    .map(|(i, r)| {
-                        let slot: ShardSlot = Arc::new(Mutex::new(None));
-                        let (db, prog, cancel, slot2, arenas) = (
-                            Arc::clone(&db),
-                            Arc::clone(&prog),
-                            Arc::clone(&cancel),
-                            Arc::clone(&slot),
-                            Arc::clone(&self.arenas),
-                        );
-                        let anchor = AnchorRange { lcl, range: *r };
-                        let tmp = tmp_slot + i as u64;
-                        let work: ShardWork = Box::new(move || {
-                            // Each shard checks out its own arena — sibling
-                            // shards stay allocation-disjoint.
-                            let (arena, recycled) = arenas.checkout();
-                            let env = ShardEnv {
-                                tmp_slot: tmp,
-                                deadline,
-                                cancel: Some(Arc::clone(&cancel)),
-                                arena,
-                            };
-                            let result = run_shard_vm(&db, &prog, anchor, env).map(
-                                |(trees, mut st, arena)| {
-                                    st.arena_resets = recycled as u64;
-                                    (trees, st, arena)
-                                },
-                            );
-                            deposit(result, &slot2, &cancel, &arenas)
-                        });
-                        (slot, work)
-                    })
-                    .collect();
-                shard_jobs += wave.len() as u64;
-                self.shard_wave(&group, deadline, &cancel, wave, &mut stats)?
-            }
-            None => {
-                let mut injected: Vec<(usize, Arc<Vec<ResultTree>>)> = Vec::new();
-                for stage in &sp.stages {
-                    let key = std::ptr::from_ref(resolve_path(&plan, &stage.path)) as usize;
-                    let windows: Vec<Option<AnchorRange>> = match stage.anchor_lcl {
-                        Some(lcl) => stage
-                            .ranges
-                            .iter()
-                            .map(|r| Some(AnchorRange { lcl, range: *r }))
-                            .collect(),
-                        None => vec![None],
-                    };
-                    let wave = self.walk_wave_jobs(
-                        &db,
-                        &plan,
-                        &stage.path,
-                        &windows,
-                        &injected,
-                        tmp_slot,
-                        deadline,
-                        &cancel,
-                    );
-                    tmp_slot += wave.len() as u64;
-                    shard_jobs += wave.len() as u64;
-                    let stage_parts =
-                        self.shard_wave(&group, deadline, &cancel, wave, &mut stats)?;
-                    let trees: Vec<ResultTree> = stage_parts.into_iter().flatten().collect();
-                    injected.push((key, Arc::new(trees)));
-                }
-                let lcl = sp.anchor_lcl;
-                let windows: Vec<Option<AnchorRange>> =
-                    sp.ranges.iter().map(|r| Some(AnchorRange { lcl, range: *r })).collect();
-                let wave = self.walk_wave_jobs(
-                    &db,
-                    &plan,
-                    &[],
-                    &windows,
-                    &injected,
-                    tmp_slot,
-                    deadline,
-                    &cancel,
-                );
-                shard_jobs += wave.len() as u64;
-                self.shard_wave(&group, deadline, &cancel, wave, &mut stats)?
-            }
-        };
-        // The document-order merge: concatenate the per-shard tree slices
-        // in window order and serialize centrally, exactly once — the same
-        // serializer call the sequential path makes, on the same tree
-        // sequence, so the bytes cannot differ.
-        let merge_start = Instant::now();
-        let trees: Vec<ResultTree> = parts.into_iter().flatten().collect();
-        let output = tlc::serialize_results(&db, &trees);
-        self.metrics.record_sharded(handle.entry.name(), shard_jobs, merge_start.elapsed());
-        let total_time = admitted.elapsed();
-        self.metrics.record_request(&handle.normalized, total_time, &stats);
-        Ok(Response {
-            output,
-            stats,
-            cache_hit,
-            db_name: handle.entry.shared_name(),
-            db_epoch: handle.entry.epoch(),
-            total_time,
-        })
-    }
-
-    /// Builds one tree-walk shard wave: one job per anchor window (or a
-    /// single unwindowed job), each resolving `path` inside the shared
-    /// plan and running with the stage results gathered so far injected.
-    #[allow(clippy::too_many_arguments)]
-    fn walk_wave_jobs(
-        &self,
-        db: &Arc<Database>,
-        plan: &Arc<Plan>,
-        path: &[usize],
-        windows: &[Option<AnchorRange>],
-        injected: &[(usize, Arc<Vec<ResultTree>>)],
-        tmp_slot_base: u64,
-        deadline: Option<Instant>,
-        cancel: &Arc<AtomicBool>,
-    ) -> Vec<(ShardSlot, ShardWork)> {
-        windows
-            .iter()
-            .enumerate()
-            .map(|(i, anchor)| {
-                let slot: ShardSlot = Arc::new(Mutex::new(None));
-                let (db, plan, cancel, slot2, arenas) = (
-                    Arc::clone(db),
-                    Arc::clone(plan),
-                    Arc::clone(cancel),
-                    Arc::clone(&slot),
-                    Arc::clone(&self.arenas),
-                );
-                let (path, injected, anchor) = (path.to_vec(), injected.to_vec(), *anchor);
-                let tmp = tmp_slot_base + i as u64;
-                let work: ShardWork = Box::new(move || {
-                    let sub = resolve_path(&plan, &path);
-                    let (arena, recycled) = arenas.checkout();
-                    let env = ShardEnv {
-                        tmp_slot: tmp,
-                        deadline,
-                        cancel: Some(Arc::clone(&cancel)),
-                        arena,
-                    };
-                    let result =
-                        run_shard(&db, sub, anchor, injected, env).map(|(trees, mut st, arena)| {
-                            st.arena_resets = recycled as u64;
-                            (trees, st, arena)
-                        });
-                    deposit(result, &slot2, &cancel, &arenas)
-                });
-                (slot, work)
-            })
-            .collect()
-    }
-
-    /// Submits one wave of shard jobs atomically and awaits every reply,
-    /// returning the per-shard tree slices in window order. Any failure
-    /// (including a deadline expiry in the queue) raises the shared cancel
-    /// flag so running siblings stop at tick granularity; every reply is
-    /// still awaited before the error propagates, so no shard work is left
-    /// orphaned. When several shards fail, the first *root-cause* error
-    /// wins — a sibling's `Cancelled` is only reported if nothing better
-    /// arrives.
-    fn shard_wave(
-        &self,
-        group: &Arc<str>,
-        deadline: Option<Instant>,
-        cancel: &Arc<AtomicBool>,
-        wave: Vec<(ShardSlot, ShardWork)>,
-        stats: &mut ExecStats,
-    ) -> Result<Vec<Vec<ResultTree>>, ShardFail> {
-        let (slots, works): (Vec<_>, Vec<_>) = wave.into_iter().unzip();
-        let receivers = self.pool.submit_shards(deadline, Some(Arc::clone(group)), works).map_err(
-            |e| match e {
-                SubmitError::QueueFull => ShardFail::Overflow,
-                SubmitError::Disconnected => ShardFail::Fatal(ServiceError::ShuttingDown),
-            },
-        )?;
-        let mut first_err: Option<ServiceError> = None;
-        let mut parts: Vec<Vec<ResultTree>> = Vec::with_capacity(slots.len());
-        for (rx, slot) in receivers.into_iter().zip(slots) {
-            let reply = match self.client_wait {
-                None => match rx.recv() {
-                    Ok(reply) => reply,
-                    Err(_) => return Err(ShardFail::Fatal(ServiceError::ShuttingDown)),
-                },
-                Some(limit) => match rx.recv_timeout(limit) {
-                    Ok(reply) => reply,
-                    Err(RecvTimeoutError::Timeout) => {
-                        // Stop waiting for the whole request; the flag makes
-                        // still-running siblings bail out early, and workers
-                        // shrug at the dropped reply channels.
-                        cancel.store(true, Ordering::Relaxed);
-                        self.metrics.record_outcome(Outcome::Abandoned);
-                        return Err(ShardFail::Fatal(ServiceError::Abandoned { waited: limit }));
-                    }
-                    Err(RecvTimeoutError::Disconnected) => {
-                        return Err(ShardFail::Fatal(ServiceError::ShuttingDown))
-                    }
-                },
-            };
-            match reply {
-                Reply::Done { value: Ok((_, st)), queue_wait } => {
-                    self.metrics.record_queue_wait(queue_wait);
-                    stats.absorb(&st);
-                    parts.push(slot.lock().unwrap().take().unwrap_or_default());
-                }
-                Reply::Done { value: Err(e), queue_wait } => {
-                    self.metrics.record_queue_wait(queue_wait);
-                    cancel.store(true, Ordering::Relaxed);
-                    prefer_root_cause(&mut first_err, e);
-                }
-                Reply::ExpiredInQueue { queue_wait } => {
-                    self.metrics.record_queue_wait(queue_wait);
-                    cancel.store(true, Ordering::Relaxed);
-                    prefer_root_cause(&mut first_err, ServiceError::DeadlineExceeded);
-                }
-            }
-        }
-        match first_err {
-            Some(e) => {
-                self.metrics.record_outcome(match e {
-                    ServiceError::DeadlineExceeded => Outcome::Deadline,
-                    _ => Outcome::Error,
-                });
-                Err(ShardFail::Fatal(e))
-            }
-            None => Ok(parts),
-        }
-    }
-
     fn dispatch(
         &self,
         label: String,
@@ -1306,11 +913,7 @@ impl Service {
         deadline: Option<Instant>,
         work: Box<dyn FnOnce() -> WorkResult + Send>,
     ) -> Result<Response, ServiceError> {
-        // Group queued jobs by `(database, epoch)`: a worker that drains a
-        // group back to back keeps one snapshot's match-cache entries and
-        // index postings warm instead of interleaving unrelated stores.
-        let group: Arc<str> = Arc::from(format!("{}\u{1}{}", entry.name(), entry.epoch()).as_str());
-        let rx = self.pool.submit_grouped(deadline, Some(group), work).map_err(|e| match e {
+        let rx = self.pool.submit(deadline, work).map_err(|e| match e {
             SubmitError::QueueFull => {
                 self.metrics.record_outcome(Outcome::Rejected);
                 ServiceError::Overloaded { queue_depth: self.queue_depth }
@@ -1359,6 +962,11 @@ impl Service {
                 self.metrics.record_outcome(Outcome::Deadline);
                 Err(ServiceError::DeadlineExceeded)
             }
+            Reply::Panicked { message, queue_wait } => {
+                self.metrics.record_queue_wait(queue_wait);
+                self.metrics.record_outcome(Outcome::Panicked);
+                Err(ServiceError::Internal(message))
+            }
         }
     }
 
@@ -1373,19 +981,9 @@ impl Service {
         self.matches.as_ref().map(|s| s.stats())
     }
 
-    /// Batch-dispatch counters from the worker pool.
+    /// Dispatch counters from the worker pool (one job per dispatch).
     pub fn batch_stats(&self) -> pool::BatchStats {
         self.pool.batch_stats()
-    }
-
-    /// Shard-admission counters from the worker pool.
-    pub fn shard_stats(&self) -> pool::ShardStats {
-        self.pool.shard_stats()
-    }
-
-    /// Arena-pool recycling counters.
-    pub fn arena_stats(&self) -> pool::ArenaPoolStats {
-        self.arenas.stats()
     }
 
     /// Aggregate metrics snapshot.
@@ -1394,8 +992,8 @@ impl Service {
     }
 
     /// The full text metrics report (`.metrics` in the wire protocol):
-    /// request/cache/latency counters, match-cache and batch-dispatch
-    /// lines, followed by the catalog listing.
+    /// request/cache/latency counters, match-cache and worker-pool lines,
+    /// followed by the catalog listing.
     pub fn metrics_report(&self) -> String {
         let mut report = self.metrics.report();
         match self.match_cache_stats() {
@@ -1410,30 +1008,11 @@ impl Service {
             }
             None => report.push_str("match cache: disabled\n"),
         }
-        let b = self.pool.batch_stats();
         report.push_str(&format!(
-            "batch dispatch: {} batch(es) over {} job(s), max batch {}\n",
-            b.batches, b.jobs, b.max_batch
+            "worker pool: {} worker(s), {} job(s) dispatched\n",
+            self.pool.workers(),
+            self.pool.batch_stats().jobs
         ));
-        let sh = self.pool.shard_stats();
-        if sh.waves > 0 || sh.rejected_waves > 0 {
-            report.push_str(&format!(
-                "shard dispatch: {} wave(s) over {} shard job(s), max wave {}, {} wave(s) rejected\n",
-                sh.waves, sh.jobs, sh.max_wave, sh.rejected_waves
-            ));
-        }
-        if self.arenas.limit_bytes() == 0 {
-            report.push_str("arena pool: disabled (arena-kb 0)\n");
-        } else {
-            let a = self.arenas.stats();
-            let rate =
-                if a.checkouts == 0 { 0.0 } else { a.reuses as f64 / a.checkouts as f64 * 100.0 };
-            report.push_str(&format!(
-                "arena pool: {} checkout(s), {} reuse(s) ({rate:.1}% reuse rate), {} discard(s), {} KiB/arena limit\n",
-                a.checkouts, a.reuses, a.discards,
-                self.arenas.limit_bytes() / 1024
-            ));
-        }
         report.push_str(&self.catalog_report());
         report
     }
@@ -1467,7 +1046,6 @@ const _: () = {
     assert_send_sync::<CatalogEntry>();
     assert_send_sync::<CachedPlan>();
     assert_send_sync::<tlc::vm::Program>();
-    assert_send_sync::<pool::ArenaPool>();
 };
 
 #[cfg(test)]
@@ -1607,7 +1185,7 @@ mod tests {
         assert!(s.hits > 0 && s.bytes > 0, "{s:?}");
         let report = svc.metrics_report();
         assert!(report.contains("match cache:"), "{report}");
-        assert!(report.contains("batch dispatch:"), "{report}");
+        assert!(report.contains("worker pool:"), "{report}");
     }
 
     #[test]
@@ -1663,7 +1241,7 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_same_template_traffic_batches_and_agrees() {
+    fn concurrent_same_template_traffic_agrees() {
         let svc = Arc::new(tiny_service(ServiceConfig {
             workers: 2,
             queue_depth: 64,
@@ -1683,8 +1261,7 @@ mod tests {
             }
         });
         let b = svc.batch_stats();
-        assert_eq!(b.jobs, 32);
-        assert!(b.batches <= b.jobs);
+        assert_eq!((b.batches, b.jobs, b.max_batch), (32, 32, 1), "one job per dispatch");
         let s = svc.match_cache_stats().unwrap();
         assert!(s.hits > 0, "{s:?}");
     }
@@ -1912,75 +1489,18 @@ mod tests {
         assert!(patient.execute(Q).is_ok());
     }
 
-    fn sharded_config(ir: bool) -> ServiceConfig {
-        ServiceConfig {
-            shard_max: 4,
-            shard_min_candidates: 1,
+    #[test]
+    fn update_mid_sweep_never_tears_reads() {
+        // A writer bumps the epoch via in-place updates while readers
+        // sweep; every answer must match the single-threaded reference for
+        // the exact epoch that served it — a torn read (a request straddling
+        // two snapshots) could match neither.
+        let svc = Arc::new(tiny_service(ServiceConfig {
             workers: 2,
             queue_depth: 32,
-            ir,
+            ir: false,
             ..Default::default()
-        }
-    }
-
-    #[test]
-    fn sharded_execution_is_byte_identical_on_both_backends() {
-        const QJ: &str = r#"FOR $p IN document("auction.xml")//person
-                            WHERE $p/age > 25 RETURN $p/name"#;
-        for ir in [false, true] {
-            let svc = tiny_service(sharded_config(ir));
-            for q in [Q, QJ] {
-                let direct = baselines::run(Engine::Tlc, q, &svc.database()).unwrap();
-                let resp = svc.execute(q).unwrap();
-                assert_eq!(resp.output, direct, "ir={ir}: sharded output diverged");
-            }
-            let snap = svc.metrics_snapshot();
-            assert!(snap.shards_executed >= 2, "ir={ir}: no shards ran: {snap:?}");
-            assert_eq!(snap.merge.count(), snap.db(DEFAULT_DB).unwrap().parallel_requests);
-            assert!(snap.db(DEFAULT_DB).unwrap().parallel_requests >= 1);
-            let sh = svc.shard_stats();
-            assert!(sh.waves >= 1 && sh.jobs == snap.shards_executed, "{sh:?}");
-            let report = svc.metrics_report();
-            assert!(report.contains("parallel:"), "{report}");
-            assert!(report.contains("shard dispatch:"), "{report}");
-            assert!(report.contains("shard merge:"), "{report}");
-        }
-    }
-
-    #[test]
-    fn unshardable_plans_fall_back_sequentially() {
-        const SORTED: &str = r#"FOR $p IN document("auction.xml")//person
-                                ORDER BY $p/name RETURN $p/name"#;
-        let svc = tiny_service(sharded_config(true));
-        let direct = baselines::run(Engine::Tlc, SORTED, &svc.database()).unwrap();
-        let resp = svc.execute(SORTED).unwrap();
-        assert_eq!(resp.output, direct);
-        let snap = svc.metrics_snapshot();
-        assert!(snap.shard_fallback_sequential >= 1, "{snap:?}");
-        assert_eq!(snap.shards_executed, 0, "a sort must never shard");
-    }
-
-    #[test]
-    fn sharded_zero_budget_deadline_exceeds_without_orphans() {
-        let svc = tiny_service(sharded_config(false));
-        match svc.execute_with_deadline(Q, Duration::ZERO) {
-            Err(ServiceError::DeadlineExceeded) => {}
-            other => panic!("expected deadline error, got {other:?}"),
-        }
-        // Every admitted shard job was awaited (expired in queue or
-        // cancelled), so the pool is idle and healthy for the next request.
-        let ok = svc.execute(Q).unwrap();
-        assert!(!ok.output.is_empty());
-        assert!(svc.metrics_snapshot().deadline >= 1);
-    }
-
-    #[test]
-    fn update_mid_sweep_never_tears_sharded_reads() {
-        // A writer bumps the epoch via in-place updates while sharded
-        // readers sweep; every answer must match the single-threaded
-        // reference for the exact epoch that served it — a torn read
-        // (shards straddling two snapshots) could match neither.
-        let svc = Arc::new(tiny_service(sharded_config(false)));
+        }));
         let mut snapshots: Vec<(u64, Arc<Database>)> = vec![(0, svc.database())];
         let answers: Vec<(u64, String)> = std::thread::scope(|s| {
             let readers: Vec<_> = (0..2)
@@ -2013,7 +1533,7 @@ mod tests {
         for (epoch, output) in answers {
             let snapshot = &snapshots.iter().find(|(e, _)| *e == epoch).unwrap().1;
             let reference = baselines::run(Engine::Tlc, Q, snapshot).unwrap();
-            assert_eq!(output, reference, "epoch {epoch}: torn or stale sharded read");
+            assert_eq!(output, reference, "epoch {epoch}: torn or stale read");
         }
     }
 }

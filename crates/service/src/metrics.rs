@@ -115,6 +115,9 @@ pub enum Outcome {
     /// client-side wait deadline expired); the job still ran or will run
     /// on a worker, its result discarded.
     Abandoned,
+    /// The work panicked on its worker; the panic was contained there and
+    /// the request answered with an internal error.
+    Panicked,
 }
 
 /// Per-database counters: plan-cache traffic split by catalog name, plus
@@ -149,9 +152,6 @@ pub struct DbCounters {
     pub ops_eliminated: u64,
     /// Lint warnings raised while compiling plans for this database.
     pub lints: u64,
-    /// Requests served by the intra-query sharding path (the per-database
-    /// parallel-QPS numerator; the caller divides by its own wall clock).
-    pub parallel_requests: u64,
     /// Store records commits copied because an older epoch shared their
     /// arena chunk ([`xmldb::UpdateSummary::records_copied`]).
     pub records_copied: u64,
@@ -178,6 +178,7 @@ struct Inner {
     rejected: u64,
     errored: u64,
     abandoned: u64,
+    panicked: u64,
     cache_hits: u64,
     cache_misses: u64,
     cache_evictions: u64,
@@ -185,11 +186,6 @@ struct Inner {
     ir_cache_hits: u64,
     ir_compile: Histogram,
     commit: Histogram,
-    shards_executed: u64,
-    shard_fallback_sequential: u64,
-    merge: Histogram,
-    arena_requests: u64,
-    arena_hwm_sum: u64,
 }
 
 /// Thread-safe metrics registry; one per [`crate::Service`].
@@ -212,10 +208,6 @@ impl Metrics {
         m.latency.record(latency);
         m.exec.absorb(stats);
         m.ok += 1;
-        if stats.arena_bytes > 0 {
-            m.arena_requests += 1;
-            m.arena_hwm_sum = m.arena_hwm_sum.saturating_add(stats.arena_bytes);
-        }
         let entry = if m.per_query.len() >= MAX_QUERY_ENTRIES && !m.per_query.contains_key(label) {
             m.per_query.entry("(other)".into()).or_default()
         } else {
@@ -234,6 +226,7 @@ impl Metrics {
             Outcome::Rejected => m.rejected += 1,
             Outcome::Error => m.errored += 1,
             Outcome::Abandoned => m.abandoned += 1,
+            Outcome::Panicked => m.panicked += 1,
         }
     }
 
@@ -325,23 +318,6 @@ impl Metrics {
         self.inner.lock().unwrap().ir_cache_hits += 1;
     }
 
-    /// Records one request served by the intra-query sharding path: how
-    /// many shard jobs it ran and how long the document-order merge
-    /// (concatenation + central serialization) took.
-    pub fn record_sharded(&self, db: &str, shard_jobs: u64, merge: Duration) {
-        let mut m = self.inner.lock().unwrap();
-        m.shards_executed += shard_jobs;
-        m.merge.record(merge);
-        m.per_db.entry(db.into()).or_default().parallel_requests += 1;
-    }
-
-    /// Records one request that a sharding-enabled service executed
-    /// sequentially anyway — the planner declined the plan, the anchor was
-    /// too small, or the queue could not take the whole shard wave.
-    pub fn record_shard_fallback(&self) {
-        self.inner.lock().unwrap().shard_fallback_sequential += 1;
-    }
-
     /// Records one compile-time analysis of a plan bound to `db`: whether
     /// the liveness pass pruned it, how many operators the pruning removed,
     /// and how many lint warnings the plan carries.
@@ -368,6 +344,7 @@ impl Metrics {
             rejected: m.rejected,
             errored: m.errored,
             abandoned: m.abandoned,
+            panicked: m.panicked,
             cache_hits: m.cache_hits,
             cache_misses: m.cache_misses,
             cache_evictions: m.cache_evictions,
@@ -375,11 +352,6 @@ impl Metrics {
             ir_cache_hits: m.ir_cache_hits,
             ir_compile: m.ir_compile.clone(),
             commit: m.commit.clone(),
-            shards_executed: m.shards_executed,
-            shard_fallback_sequential: m.shard_fallback_sequential,
-            merge: m.merge.clone(),
-            arena_requests: m.arena_requests,
-            arena_hwm_sum: m.arena_hwm_sum,
             per_db,
         }
     }
@@ -392,8 +364,8 @@ impl Metrics {
         let mut out = String::new();
         out.push_str("== service metrics ==\n");
         out.push_str(&format!(
-            "requests: {} ok, {} deadline-exceeded, {} rejected, {} errored, {} abandoned\n",
-            m.ok, m.deadline, m.rejected, m.errored, m.abandoned
+            "requests: {} ok, {} deadline-exceeded, {} rejected, {} errored, {} abandoned, {} panicked\n",
+            m.ok, m.deadline, m.rejected, m.errored, m.abandoned, m.panicked
         ));
         let lookups = m.cache_hits + m.cache_misses;
         let rate = if lookups == 0 { 0.0 } else { m.cache_hits as f64 / lookups as f64 * 100.0 };
@@ -419,12 +391,6 @@ impl Metrics {
                 out.push_str(&format!(
                     "  db {name}: {} store record(s) copied by commits, {} carry set(s) computed\n",
                     c.records_copied, c.carry_sets_computed
-                ));
-            }
-            if c.parallel_requests > 0 {
-                out.push_str(&format!(
-                    "  db {name}: {} request(s) served by intra-query shards\n",
-                    c.parallel_requests
                 ));
             }
             if c.plans_pruned > 0 || c.ops_eliminated > 0 || c.lints > 0 || c.matches_extra > 0 {
@@ -460,21 +426,6 @@ impl Metrics {
             "executor match cache: {} hits / {} misses\n",
             e.match_cache_hits, e.match_cache_misses
         ));
-        if m.arena_requests > 0 || e.fallback_allocs > 0 {
-            let mean_kib = if m.arena_requests == 0 {
-                0.0
-            } else {
-                m.arena_hwm_sum as f64 / m.arena_requests as f64 / 1024.0
-            };
-            out.push_str(&format!(
-                "executor arena: {} arena-backed request(s), high-water mean {:.1} KiB / max {:.1} KiB, {} fallback alloc(s), {} recycled checkout(s)\n",
-                m.arena_requests,
-                mean_kib,
-                e.arena_bytes as f64 / 1024.0,
-                e.fallback_allocs,
-                e.arena_resets
-            ));
-        }
         if m.ir_compiles > 0 || m.ir_cache_hits > 0 {
             out.push_str(&format!(
                 "ir: {} program(s) compiled, {} compiled-program reuse(s), compile count={} mean={:?} p95={:?} max={:?}\n",
@@ -494,22 +445,6 @@ impl Metrics {
                 m.commit.quantile(0.50),
                 m.commit.quantile(0.95),
                 m.commit.max()
-            ));
-        }
-        if m.merge.count() > 0 || m.shard_fallback_sequential > 0 {
-            out.push_str(&format!(
-                "parallel: {} sharded request(s), {} shard job(s) executed, {} sequential fallback(s)\n",
-                m.merge.count(),
-                m.shards_executed,
-                m.shard_fallback_sequential
-            ));
-            out.push_str(&format!(
-                "shard merge: count={} mean={:?} p50={:?} p95={:?} max={:?}\n",
-                m.merge.count(),
-                m.merge.mean(),
-                m.merge.quantile(0.50),
-                m.merge.quantile(0.95),
-                m.merge.max()
             ));
         }
         if !m.per_query.is_empty() {
@@ -563,6 +498,9 @@ pub struct Snapshot {
     pub errored: u64,
     /// Requests whose caller gave up waiting (client-side wait deadline).
     pub abandoned: u64,
+    /// Requests whose work panicked on a worker (contained there and
+    /// answered with [`crate::ServiceError::Internal`]).
+    pub panicked: u64,
     /// Plan-cache hits.
     pub cache_hits: u64,
     /// Plan-cache misses.
@@ -578,23 +516,6 @@ pub struct Snapshot {
     pub ir_compile: Histogram,
     /// Per-commit wall time of [`crate::Service::apply_update`].
     pub commit: Histogram,
-    /// Shard jobs run by the intra-query sharding path, summed over every
-    /// sharded request (stage jobs included).
-    pub shards_executed: u64,
-    /// Requests a sharding-enabled service ran sequentially anyway
-    /// (unshardable plan, anchor below the cost threshold, or a full
-    /// queue rejecting the shard wave).
-    pub shard_fallback_sequential: u64,
-    /// Per-request document-order merge times (shard-output concatenation
-    /// plus central serialization); `merge.count()` is the number of
-    /// sharded requests served.
-    pub merge: Histogram,
-    /// Requests whose executor drew from a live arena (`arena_bytes > 0`).
-    pub arena_requests: u64,
-    /// Sum of per-request arena high-water marks in bytes (divide by
-    /// [`Snapshot::arena_requests`] for the mean; the max is
-    /// `exec.arena_bytes`, which absorbs by maximum).
-    pub arena_hwm_sum: u64,
     /// Per-database counters, sorted by database name.
     pub per_db: Vec<(String, DbCounters)>,
 }
@@ -680,8 +601,9 @@ mod tests {
         m.record_swap("a", 3);
         m.record_swap("a", 2);
         m.record_outcome(Outcome::Abandoned);
+        m.record_outcome(Outcome::Panicked);
         let s = m.snapshot();
-        assert_eq!(s.abandoned, 1);
+        assert_eq!((s.abandoned, s.panicked), (1, 1));
         assert_eq!(
             s.db("a"),
             Some(&DbCounters {
@@ -696,7 +618,7 @@ mod tests {
         assert_eq!(s.db("c"), None);
         let r = m.report();
         assert!(r.contains("db a: 1 hits / 2 lookups, 2 swap(s), 5 plan(s) invalidated"), "{r}");
-        assert!(r.contains("1 abandoned"), "{r}");
+        assert!(r.contains("1 abandoned, 1 panicked"), "{r}");
     }
 
     #[test]
@@ -742,46 +664,6 @@ mod tests {
         assert_eq!((s.ir_compiles, s.ir_cache_hits, s.ir_compile.count()), (1, 2, 1));
         let r = m.report();
         assert!(r.contains("ir: 1 program(s) compiled, 2 compiled-program reuse(s)"), "{r}");
-    }
-
-    #[test]
-    fn shard_counters_track_jobs_fallbacks_and_merge_times() {
-        let m = Metrics::new();
-        assert!(!m.report().contains("parallel:"), "no shard activity recorded yet");
-        m.record_sharded("a", 5, Duration::from_micros(120));
-        m.record_sharded("a", 9, Duration::from_micros(80));
-        m.record_shard_fallback();
-        let s = m.snapshot();
-        assert_eq!((s.shards_executed, s.shard_fallback_sequential, s.merge.count()), (14, 1, 2));
-        assert_eq!(s.db("a").unwrap().parallel_requests, 2);
-        let r = m.report();
-        assert!(
-            r.contains("parallel: 2 sharded request(s), 14 shard job(s) executed, 1 sequential fallback(s)"),
-            "{r}"
-        );
-        assert!(r.contains("shard merge: count=2"), "{r}");
-        assert!(r.contains("db a: 2 request(s) served by intra-query shards"), "{r}");
-    }
-
-    #[test]
-    fn arena_counters_only_report_when_active() {
-        let m = Metrics::new();
-        m.record_request("q", Duration::from_micros(10), &ExecStats::new());
-        assert!(!m.report().contains("executor arena:"), "no arena activity recorded yet");
-        let mut st = ExecStats::new();
-        st.arena_bytes = 2048;
-        st.fallback_allocs = 5;
-        st.arena_resets = 1;
-        m.record_request("q", Duration::from_micros(10), &st);
-        let s = m.snapshot();
-        assert_eq!((s.arena_requests, s.arena_hwm_sum), (1, 2048));
-        let r = m.report();
-        assert!(
-            r.contains(
-                "executor arena: 1 arena-backed request(s), high-water mean 2.0 KiB / max 2.0 KiB, 5 fallback alloc(s), 1 recycled checkout(s)"
-            ),
-            "{r}"
-        );
     }
 
     #[test]

@@ -1,25 +1,22 @@
-//! The worker pool: bounded admission, batch-aware dispatch, clean shutdown.
+//! The worker pool: bounded admission, a plain FIFO queue, clean shutdown.
 //!
 //! Requests wait in a bounded `VecDeque` behind a `Mutex` + `Condvar`; a
 //! full queue rejects at admission ([`crate::ServiceError::Overloaded`])
 //! instead of building an unbounded backlog — the service degrades by
-//! shedding load, not by growing latency without limit.
-//!
-//! **Batching.** Each job may carry an opaque *group* key (the service uses
-//! `(database, epoch)`). When a worker wakes it pops the front job and, if
-//! batching is enabled (`batch_max > 1`), additionally extracts up to
-//! `batch_max - 1` *same-group* jobs from anywhere in the queue, leaving
-//! other groups in place and in order. The batch runs on that one worker
-//! back to back, so consecutive executions share whatever per-snapshot
-//! state warms between them — in this service the epoch-keyed match cache
-//! and the CPU caches over one snapshot's index postings. Grouping never
-//! delays admission or reorders jobs *within* a group, and a job's deadline
-//! is still re-checked when its turn in the batch comes (time spent queued
-//! and time spent behind batch-mates both count against it).
+//! shedding load, not by growing latency without limit. A worker that
+//! wakes pops the front job and runs it; one job per wake-up, in
+//! admission order. A job's deadline is re-checked when it is dequeued, so
+//! time spent queued counts against it.
 //!
 //! Each worker is a plain `std::thread`. Deadline aborts inside execution
 //! are cooperative (see `tlc::exec`), so a timed-out request returns a
 //! typed error and the worker moves on — nothing is left wedged.
+//!
+//! **Panics.** A job's closure runs under `catch_unwind`: a panic is
+//! answered with [`Reply::Panicked`] and the worker goes on to the next
+//! job, so a panicking request costs neither a worker nor its caller's
+//! connection. The closure runs outside the queue lock, so the lock is
+//! never poisoned by it.
 //!
 //! Dropping the pool closes admission; workers drain what was already
 //! admitted and exit, and `Drop` joins them all.
@@ -31,7 +28,9 @@
 //! discarded and the worker moves to the next job. Abandonment is a
 //! client-side decision; the pool itself never cancels running work.
 
+use std::any::Any;
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
@@ -39,13 +38,11 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// A unit of queued work: a closure producing a `T`, the reply slot, the
-/// request's absolute deadline (checked again at dequeue), the admission
-/// timestamp the queue-wait measurement is taken from, and the batching
-/// group it may share a dispatch with.
+/// request's absolute deadline (checked again at dequeue), and the
+/// admission timestamp the queue-wait measurement is taken from.
 struct Job<T> {
     deadline: Option<Instant>,
     submitted: Instant,
-    group: Option<Arc<str>>,
     work: Box<dyn FnOnce() -> T + Send>,
     reply: SyncSender<Reply<T>>,
 }
@@ -67,6 +64,13 @@ pub enum Reply<T> {
         /// How long the job sat in the queue before expiry was noticed.
         queue_wait: Duration,
     },
+    /// The closure panicked; the worker caught the panic and lives on.
+    Panicked {
+        /// The panic payload, when it was a string.
+        message: String,
+        /// How long the job sat in the queue before a worker picked it up.
+        queue_wait: Duration,
+    },
 }
 
 /// Why a submission failed.
@@ -78,31 +82,17 @@ pub enum SubmitError {
     Disconnected,
 }
 
-/// Cumulative dispatch counters; read through [`Pool::batch_stats`].
+/// Cumulative dispatch counters; read through [`Pool::batch_stats`]. Every
+/// dispatch runs exactly one job, so `batches == jobs` and `max_batch` is 1
+/// once anything ran (the fields keep the shape external readers use).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchStats {
-    /// Dispatches performed (each runs one or more jobs on one worker).
+    /// Dispatches performed.
     pub batches: u64,
     /// Jobs run across all dispatches.
     pub jobs: u64,
-    /// Largest batch dispatched so far.
+    /// Largest number of jobs one dispatch ran.
     pub max_batch: u64,
-}
-
-/// Cumulative shard-admission counters; read through [`Pool::shard_stats`].
-/// A *wave* is one [`Pool::submit_shards`] call — the shard jobs of one
-/// request admitted atomically.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Shard waves admitted.
-    pub waves: u64,
-    /// Shard jobs admitted across all waves.
-    pub jobs: u64,
-    /// Largest wave admitted so far.
-    pub max_wave: u64,
-    /// Waves rejected whole because the queue could not take every job
-    /// (the caller falls back to sequential execution).
-    pub rejected_waves: u64,
 }
 
 struct State<T> {
@@ -113,18 +103,10 @@ struct State<T> {
 struct Shared<T> {
     state: Mutex<State<T>>,
     available: Condvar,
-    batch_max: usize,
-    batches: AtomicU64,
-    batched_jobs: AtomicU64,
-    max_batch: AtomicU64,
-    shard_waves: AtomicU64,
-    shard_jobs: AtomicU64,
-    max_wave: AtomicU64,
-    shard_rejected: AtomicU64,
+    dispatched: AtomicU64,
 }
 
-/// Fixed-size worker pool over a bounded job queue with same-group
-/// batch dispatch.
+/// Fixed-size worker pool over a bounded FIFO job queue.
 pub struct Pool<T: Send + 'static> {
     shared: Arc<Shared<T>>,
     queue_depth: usize,
@@ -133,26 +115,12 @@ pub struct Pool<T: Send + 'static> {
 
 impl<T: Send + 'static> Pool<T> {
     /// Spawns `workers` threads behind a queue admitting at most
-    /// `queue_depth` waiting jobs, dispatching one job at a time.
+    /// `queue_depth` waiting jobs.
     pub fn new(workers: usize, queue_depth: usize) -> Pool<T> {
-        Pool::batched(workers, queue_depth, 1)
-    }
-
-    /// Like [`Pool::new`], but a worker picking up a job also claims up to
-    /// `batch_max - 1` queued jobs of the same group and runs them back to
-    /// back. `batch_max` ≤ 1 disables batching.
-    pub fn batched(workers: usize, queue_depth: usize, batch_max: usize) -> Pool<T> {
         let shared = Arc::new(Shared {
             state: Mutex::new(State { jobs: VecDeque::new(), open: true }),
             available: Condvar::new(),
-            batch_max: batch_max.max(1),
-            batches: AtomicU64::new(0),
-            batched_jobs: AtomicU64::new(0),
-            max_batch: AtomicU64::new(0),
-            shard_waves: AtomicU64::new(0),
-            shard_jobs: AtomicU64::new(0),
-            max_wave: AtomicU64::new(0),
-            shard_rejected: AtomicU64::new(0),
+            dispatched: AtomicU64::new(0),
         });
         let handles = (0..workers.max(1))
             .map(|i| {
@@ -166,27 +134,15 @@ impl<T: Send + 'static> Pool<T> {
         Pool { shared, queue_depth: queue_depth.max(1), workers: handles }
     }
 
-    /// Queues `work` with no batching group; returns the reply channel to
-    /// block on. Fails fast if the queue is full.
+    /// Queues `work`; returns the reply channel to block on. Fails fast if
+    /// the queue is full.
     pub fn submit(
         &self,
         deadline: Option<Instant>,
         work: Box<dyn FnOnce() -> T + Send>,
     ) -> Result<Receiver<Reply<T>>, SubmitError> {
-        self.submit_grouped(deadline, None, work)
-    }
-
-    /// Queues `work` under an optional batching `group` (jobs sharing a
-    /// group may be dispatched together); returns the reply channel to
-    /// block on. Fails fast if the queue is full.
-    pub fn submit_grouped(
-        &self,
-        deadline: Option<Instant>,
-        group: Option<Arc<str>>,
-        work: Box<dyn FnOnce() -> T + Send>,
-    ) -> Result<Receiver<Reply<T>>, SubmitError> {
         let (reply_tx, reply_rx) = sync_channel(1);
-        let job = Job { deadline, submitted: Instant::now(), group, work, reply: reply_tx };
+        let job = Job { deadline, submitted: Instant::now(), work, reply: reply_tx };
         {
             let mut st = self.shared.state.lock().unwrap();
             if !st.open {
@@ -201,46 +157,6 @@ impl<T: Send + 'static> Pool<T> {
         Ok(reply_rx)
     }
 
-    /// Queues one request's shard jobs **atomically**: either every job is
-    /// admitted (in order, as one contiguous run) or none is and the whole
-    /// wave is rejected with [`SubmitError::QueueFull`] — a partially
-    /// admitted wave would wedge its caller, which must await every shard
-    /// before it can merge. All jobs share `group`, so batch-aware dispatch
-    /// lets one worker claim several shards of the same request back to
-    /// back instead of interleaving unrelated work between them.
-    pub fn submit_shards(
-        &self,
-        deadline: Option<Instant>,
-        group: Option<Arc<str>>,
-        works: Vec<Box<dyn FnOnce() -> T + Send>>,
-    ) -> Result<Vec<Receiver<Reply<T>>>, SubmitError> {
-        let submitted = Instant::now();
-        let mut receivers = Vec::with_capacity(works.len());
-        let mut jobs = Vec::with_capacity(works.len());
-        for work in works {
-            let (reply_tx, reply_rx) = sync_channel(1);
-            receivers.push(reply_rx);
-            jobs.push(Job { deadline, submitted, group: group.clone(), work, reply: reply_tx });
-        }
-        {
-            let mut st = self.shared.state.lock().unwrap();
-            if !st.open {
-                return Err(SubmitError::Disconnected);
-            }
-            if st.jobs.len() + jobs.len() > self.queue_depth {
-                self.shared.shard_rejected.fetch_add(1, Ordering::Relaxed);
-                return Err(SubmitError::QueueFull);
-            }
-            let n = jobs.len() as u64;
-            self.shared.shard_waves.fetch_add(1, Ordering::Relaxed);
-            self.shared.shard_jobs.fetch_add(n, Ordering::Relaxed);
-            self.shared.max_wave.fetch_max(n, Ordering::Relaxed);
-            st.jobs.extend(jobs);
-        }
-        self.shared.available.notify_all();
-        Ok(receivers)
-    }
-
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
         self.workers.len()
@@ -248,21 +164,8 @@ impl<T: Send + 'static> Pool<T> {
 
     /// Cumulative dispatch counters.
     pub fn batch_stats(&self) -> BatchStats {
-        BatchStats {
-            batches: self.shared.batches.load(Ordering::Relaxed),
-            jobs: self.shared.batched_jobs.load(Ordering::Relaxed),
-            max_batch: self.shared.max_batch.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Cumulative shard-admission counters.
-    pub fn shard_stats(&self) -> ShardStats {
-        ShardStats {
-            waves: self.shared.shard_waves.load(Ordering::Relaxed),
-            jobs: self.shared.shard_jobs.load(Ordering::Relaxed),
-            max_wave: self.shared.max_wave.load(Ordering::Relaxed),
-            rejected_waves: self.shared.shard_rejected.load(Ordering::Relaxed),
-        }
+        let n = self.shared.dispatched.load(Ordering::Relaxed);
+        BatchStats { batches: n, jobs: n, max_batch: n.min(1) }
     }
 }
 
@@ -277,129 +180,13 @@ impl<T: Send + 'static> Drop for Pool<T> {
     }
 }
 
-/// Cumulative arena-recycling counters; read through [`ArenaPool::stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ArenaPoolStats {
-    /// Arenas handed out (recycled and fresh combined).
-    pub checkouts: u64,
-    /// Checkouts served by resetting a previously restored arena.
-    pub reuses: u64,
-    /// Arenas dropped instead of recycled: failed or cancelled jobs (see
-    /// [`ArenaPool::discard`]) plus restores past the pool's capacity.
-    pub discards: u64,
-}
-
-/// Recycles [`tlc::ExecArena`]s across requests and shard jobs.
-///
-/// Reset, don't free: a restored arena keeps its parked buffers, so one
-/// request's allocations become the next request's capacity. Every job —
-/// sequential request or single shard of a wave — checks out its own
-/// arena, which keeps sibling shards allocation-disjoint (the PR 9
-/// byte-identity argument never sees the arena). Jobs that fail or are
-/// cancelled must [`ArenaPool::discard`] instead of restoring: their
-/// arena died with the job's context and is never reused.
-///
-/// A `limit_bytes` of 0 disables recycling entirely — checkouts hand out
-/// [`tlc::ExecArena::disabled`] instances, reproducing the seed
-/// allocation behavior (the `--arena-kb 0` escape hatch).
-pub struct ArenaPool {
-    limit_bytes: usize,
-    /// Most arenas kept parked; sized to the worker count, since at most
-    /// that many jobs run (and restore) concurrently.
-    capacity: usize,
-    free: Mutex<Vec<tlc::ExecArena>>,
-    checkouts: AtomicU64,
-    reuses: AtomicU64,
-    discards: AtomicU64,
-}
-
-impl ArenaPool {
-    /// A pool handing out arenas capped at `limit_bytes` retained bytes,
-    /// parking at most `capacity` of them between jobs.
-    pub fn new(limit_bytes: usize, capacity: usize) -> ArenaPool {
-        ArenaPool {
-            limit_bytes,
-            capacity: capacity.max(1),
-            free: Mutex::new(Vec::new()),
-            checkouts: AtomicU64::new(0),
-            reuses: AtomicU64::new(0),
-            discards: AtomicU64::new(0),
-        }
-    }
-
-    /// An arena for one job, plus whether it was recycled (reset) rather
-    /// than freshly built.
-    pub fn checkout(&self) -> (tlc::ExecArena, bool) {
-        self.checkouts.fetch_add(1, Ordering::Relaxed);
-        if self.limit_bytes == 0 {
-            return (tlc::ExecArena::disabled(), false);
-        }
-        match self.free.lock().unwrap().pop() {
-            Some(mut arena) => {
-                arena.reset();
-                self.reuses.fetch_add(1, Ordering::Relaxed);
-                (arena, true)
-            }
-            None => (tlc::ExecArena::with_limit(self.limit_bytes), false),
-        }
-    }
-
-    /// Returns a successful job's arena for reuse. Past capacity (or with
-    /// recycling disabled) the arena is dropped and counted as a discard.
-    pub fn restore(&self, arena: tlc::ExecArena) {
-        if self.limit_bytes > 0 {
-            let mut free = self.free.lock().unwrap();
-            if free.len() < self.capacity {
-                free.push(arena);
-                return;
-            }
-        }
-        self.discards.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records that a job's arena died with it (error, cancellation, or
-    /// deadline expiry) — the no-reuse-after-failure rule.
-    pub fn discard(&self) {
-        self.discards.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Cumulative recycling counters.
-    pub fn stats(&self) -> ArenaPoolStats {
-        ArenaPoolStats {
-            checkouts: self.checkouts.load(Ordering::Relaxed),
-            reuses: self.reuses.load(Ordering::Relaxed),
-            discards: self.discards.load(Ordering::Relaxed),
-        }
-    }
-
-    /// The retained-byte cap of every arena this pool hands out.
-    pub fn limit_bytes(&self) -> usize {
-        self.limit_bytes
-    }
-}
-
 fn worker_loop<T>(shared: Arc<Shared<T>>) {
     loop {
-        let mut batch = {
+        let job = {
             let mut st = shared.state.lock().unwrap();
             loop {
-                if let Some(first) = st.jobs.pop_front() {
-                    let mut batch = vec![first];
-                    if shared.batch_max > 1 {
-                        if let Some(group) = batch[0].group.clone() {
-                            // Claim same-group jobs from anywhere in the
-                            // queue; other groups keep their positions.
-                            let mut i = 0;
-                            while i < st.jobs.len() && batch.len() < shared.batch_max {
-                                if st.jobs[i].group.as_deref() == Some(&*group) {
-                                    batch.push(st.jobs.remove(i).expect("index in bounds"));
-                                } else {
-                                    i += 1;
-                                }
-                            }
-                        }
-                    }
-                    break batch;
+                if let Some(job) = st.jobs.pop_front() {
+                    break job;
                 }
                 if !st.open {
                     return; // queue drained and admission closed: shut down
@@ -407,19 +194,27 @@ fn worker_loop<T>(shared: Arc<Shared<T>>) {
                 st = shared.available.wait(st).unwrap();
             }
         };
-        shared.batches.fetch_add(1, Ordering::Relaxed);
-        shared.batched_jobs.fetch_add(batch.len() as u64, Ordering::Relaxed);
-        shared.max_batch.fetch_max(batch.len() as u64, Ordering::Relaxed);
-        for job in batch.drain(..) {
-            let queue_wait = job.submitted.elapsed();
-            let reply = match job.deadline {
-                Some(d) if Instant::now() >= d => Reply::ExpiredInQueue { queue_wait },
-                _ => Reply::Done { value: (job.work)(), queue_wait },
-            };
-            // The requester may have given up (e.g. its own recv timeout);
-            // a dead reply channel is not a worker error.
-            let _ = job.reply.send(reply);
-        }
+        shared.dispatched.fetch_add(1, Ordering::Relaxed);
+        let queue_wait = job.submitted.elapsed();
+        let reply = match job.deadline {
+            Some(d) if Instant::now() >= d => Reply::ExpiredInQueue { queue_wait },
+            _ => match catch_unwind(AssertUnwindSafe(job.work)) {
+                Ok(value) => Reply::Done { value, queue_wait },
+                Err(payload) => Reply::Panicked { message: panic_message(&*payload), queue_wait },
+            },
+        };
+        // The requester may have given up (e.g. its own recv timeout);
+        // a dead reply channel is not a worker error.
+        let _ = job.reply.send(reply);
+    }
+}
+
+/// The text of a panic payload (`panic!` with a literal or a format).
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    match (payload.downcast_ref::<&str>(), payload.downcast_ref::<String>()) {
+        (Some(s), _) => (*s).to_string(),
+        (None, Some(s)) => s.clone(),
+        (None, None) => "non-string panic payload".to_string(),
     }
 }
 
@@ -437,7 +232,7 @@ mod tests {
                 assert_eq!(value, 42);
                 assert!(queue_wait < Duration::from_secs(5));
             }
-            Reply::ExpiredInQueue { .. } => panic!("no deadline was set"),
+            _ => panic!("no deadline was set and the job cannot panic"),
         }
         let s = pool.batch_stats();
         assert_eq!((s.batches, s.jobs, s.max_batch), (1, 1, 1));
@@ -482,7 +277,7 @@ mod tests {
         for (i, rx) in receivers.into_iter().enumerate() {
             match rx.recv().unwrap() {
                 Reply::Done { value, .. } => assert_eq!(value, i as u64),
-                Reply::ExpiredInQueue { .. } => panic!("no deadline"),
+                _ => panic!("no deadline"),
             }
         }
     }
@@ -512,7 +307,7 @@ mod tests {
         let rx = pool.submit(None, Box::new(|| 99)).unwrap();
         match rx.recv_timeout(Duration::from_secs(10)).unwrap() {
             Reply::Done { value, .. } => assert_eq!(value, 99),
-            Reply::ExpiredInQueue { .. } => panic!("no deadline"),
+            _ => panic!("no deadline"),
         }
     }
 
@@ -529,243 +324,8 @@ mod tests {
             Reply::Done { queue_wait, .. } => {
                 assert!(queue_wait >= Duration::from_millis(30), "waited only {queue_wait:?}");
             }
-            Reply::ExpiredInQueue { .. } => panic!("no deadline"),
+            _ => panic!("no deadline"),
         }
-    }
-
-    #[test]
-    fn same_group_jobs_dispatch_as_one_batch() {
-        // One worker parked in a gate job; queue six jobs alternating
-        // between two groups; when the worker frees up, each dispatch must
-        // claim all same-group jobs (up to batch_max) in one go.
-        let pool: Pool<usize> = Pool::batched(1, 16, 8);
-        let (block_tx, block_rx) = sync_channel::<()>(0);
-        let _gate = pool
-            .submit(
-                None,
-                Box::new(move || {
-                    let _ = block_rx.recv();
-                    0
-                }),
-            )
-            .unwrap();
-        std::thread::sleep(Duration::from_millis(20)); // gate job is running
-        let a: Arc<str> = Arc::from("dbA\u{1}0");
-        let b: Arc<str> = Arc::from("dbB\u{1}0");
-        let receivers: Vec<_> = [&a, &b, &a, &b, &a, &b]
-            .iter()
-            .enumerate()
-            .map(|(i, g)| {
-                pool.submit_grouped(None, Some(Arc::clone(g)), Box::new(move || i)).unwrap()
-            })
-            .collect();
-        block_tx.send(()).unwrap();
-        for (i, rx) in receivers.into_iter().enumerate() {
-            match rx.recv_timeout(Duration::from_secs(10)).unwrap() {
-                Reply::Done { value, .. } => assert_eq!(value, i),
-                Reply::ExpiredInQueue { .. } => panic!("no deadline"),
-            }
-        }
-        // Gate dispatch + one batch per group: 3 dispatches for 7 jobs,
-        // with a largest batch of 3.
-        let s = pool.batch_stats();
-        assert_eq!((s.batches, s.jobs, s.max_batch), (3, 7, 3));
-    }
-
-    #[test]
-    fn batching_preserves_within_group_order_and_other_groups() {
-        // batch_max 2 with 4 same-group jobs: two dispatches of two, values
-        // delivered in submission order within the group.
-        let pool: Pool<usize> = Pool::batched(1, 16, 2);
-        let (block_tx, block_rx) = sync_channel::<()>(0);
-        let gate = pool
-            .submit(
-                None,
-                Box::new(move || {
-                    let _ = block_rx.recv();
-                    0
-                }),
-            )
-            .unwrap();
-        std::thread::sleep(Duration::from_millis(20));
-        let g: Arc<str> = Arc::from("db\u{1}7");
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let receivers: Vec<_> = (0..4)
-            .map(|i| {
-                let order = Arc::clone(&order);
-                pool.submit_grouped(
-                    None,
-                    Some(Arc::clone(&g)),
-                    Box::new(move || {
-                        order.lock().unwrap().push(i);
-                        i
-                    }),
-                )
-                .unwrap()
-            })
-            .collect();
-        block_tx.send(()).unwrap();
-        for rx in receivers {
-            let _ = rx.recv_timeout(Duration::from_secs(10)).unwrap();
-        }
-        assert_eq!(*order.lock().unwrap(), vec![0, 1, 2, 3]);
-        let s = pool.batch_stats();
-        assert_eq!((s.batches, s.max_batch), (3, 2)); // gate + 2 batches of 2
-        drop(gate);
-    }
-
-    #[test]
-    fn deadline_is_rechecked_per_job_within_a_batch() {
-        // Two same-group jobs: the first sleeps past the second's deadline,
-        // so the second must expire in queue even though both were claimed
-        // in one batch.
-        let pool: Pool<u32> = Pool::batched(1, 16, 4);
-        let (block_tx, block_rx) = sync_channel::<()>(0);
-        let gate = pool
-            .submit(
-                None,
-                Box::new(move || {
-                    let _ = block_rx.recv();
-                    0
-                }),
-            )
-            .unwrap();
-        std::thread::sleep(Duration::from_millis(20));
-        let g: Arc<str> = Arc::from("db\u{1}0");
-        let slow = pool
-            .submit_grouped(
-                None,
-                Some(Arc::clone(&g)),
-                Box::new(|| {
-                    std::thread::sleep(Duration::from_millis(80));
-                    1
-                }),
-            )
-            .unwrap();
-        let doomed = pool
-            .submit_grouped(
-                Some(Instant::now() + Duration::from_millis(20)),
-                Some(Arc::clone(&g)),
-                Box::new(|| panic!("deadline must expire first")),
-            )
-            .unwrap();
-        block_tx.send(()).unwrap();
-        assert!(matches!(
-            slow.recv_timeout(Duration::from_secs(10)).unwrap(),
-            Reply::Done { value: 1, .. }
-        ));
-        assert!(matches!(
-            doomed.recv_timeout(Duration::from_secs(10)).unwrap(),
-            Reply::ExpiredInQueue { .. }
-        ));
-        drop(gate);
-    }
-
-    #[test]
-    fn shard_wave_admits_all_or_nothing() {
-        // One worker parked in a gate job, queue depth 2: a 3-job wave must
-        // be rejected whole (no partial admission), then a 2-job wave fits.
-        let pool: Pool<usize> = Pool::new(1, 2);
-        let (block_tx, block_rx) = sync_channel::<()>(0);
-        let _gate = pool
-            .submit(
-                None,
-                Box::new(move || {
-                    let _ = block_rx.recv();
-                    0
-                }),
-            )
-            .unwrap();
-        std::thread::sleep(Duration::from_millis(20));
-        let works = |n: usize| -> Vec<Box<dyn FnOnce() -> usize + Send>> {
-            (0..n).map(|i| Box::new(move || i) as Box<dyn FnOnce() -> usize + Send>).collect()
-        };
-        let g: Arc<str> = Arc::from("db\u{1}0\u{1}shard-1");
-        let rejected = pool.submit_shards(None, Some(Arc::clone(&g)), works(3));
-        assert_eq!(rejected.unwrap_err(), SubmitError::QueueFull);
-        let admitted = pool.submit_shards(None, Some(Arc::clone(&g)), works(2)).unwrap();
-        block_tx.send(()).unwrap();
-        for (i, rx) in admitted.into_iter().enumerate() {
-            match rx.recv_timeout(Duration::from_secs(10)).unwrap() {
-                Reply::Done { value, .. } => assert_eq!(value, i),
-                Reply::ExpiredInQueue { .. } => panic!("no deadline"),
-            }
-        }
-        let s = pool.shard_stats();
-        assert_eq!((s.waves, s.jobs, s.max_wave, s.rejected_waves), (1, 2, 2, 1));
-    }
-
-    #[test]
-    fn shard_wave_batches_onto_one_worker_dispatch() {
-        // Shard jobs share their group, so one freed worker claims the
-        // whole wave as a single batch dispatch.
-        let pool: Pool<usize> = Pool::batched(1, 16, 8);
-        let (block_tx, block_rx) = sync_channel::<()>(0);
-        let _gate = pool
-            .submit(
-                None,
-                Box::new(move || {
-                    let _ = block_rx.recv();
-                    0
-                }),
-            )
-            .unwrap();
-        std::thread::sleep(Duration::from_millis(20));
-        let g: Arc<str> = Arc::from("db\u{1}0\u{1}shard-2");
-        let works: Vec<Box<dyn FnOnce() -> usize + Send>> =
-            (0..3usize).map(|i| Box::new(move || i) as Box<dyn FnOnce() -> usize + Send>).collect();
-        let receivers = pool.submit_shards(None, Some(g), works).unwrap();
-        block_tx.send(()).unwrap();
-        for rx in receivers {
-            assert!(matches!(
-                rx.recv_timeout(Duration::from_secs(10)).unwrap(),
-                Reply::Done { .. }
-            ));
-        }
-        let s = pool.batch_stats();
-        assert_eq!((s.batches, s.jobs, s.max_batch), (2, 4, 3)); // gate + one 3-shard batch
-    }
-
-    #[test]
-    fn arena_pool_recycles_restored_capacity() {
-        let pool = ArenaPool::new(64 * 1024, 2);
-        let (mut a, recycled) = pool.checkout();
-        assert!(!recycled, "first checkout has nothing to recycle");
-        let (mut buf, _) = a.take_nodes();
-        buf.reserve(16);
-        a.give_nodes(buf);
-        pool.restore(a);
-        let (a2, recycled) = pool.checkout();
-        assert!(recycled);
-        assert!(a2.retained_bytes() > 0, "parked capacity survives the pooled reset");
-        pool.discard();
-        let s = pool.stats();
-        assert_eq!((s.checkouts, s.reuses, s.discards), (2, 1, 1));
-    }
-
-    #[test]
-    fn disabled_arena_pool_hands_out_seed_arenas() {
-        let pool = ArenaPool::new(0, 4);
-        let (a, recycled) = pool.checkout();
-        assert!(!recycled);
-        assert_eq!(a.limit(), 0, "arena_kb 0 must reproduce the no-arena seed path");
-        pool.restore(a); // dropped, not parked
-        let (b, recycled) = pool.checkout();
-        assert!(!recycled, "nothing is ever recycled at limit 0");
-        assert_eq!(b.limit(), 0);
-        assert_eq!(pool.stats().discards, 1);
-    }
-
-    #[test]
-    fn arena_pool_capacity_bounds_parked_arenas() {
-        let pool = ArenaPool::new(64 * 1024, 1);
-        let (a, _) = pool.checkout();
-        let (b, _) = pool.checkout();
-        pool.restore(a);
-        pool.restore(b); // over capacity: dropped and counted
-        assert_eq!(pool.stats().discards, 1);
-        let (_, recycled) = pool.checkout();
-        assert!(recycled, "the one parked arena is still served");
     }
 
     #[test]

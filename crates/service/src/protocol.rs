@@ -43,6 +43,10 @@
 //! ERR <message>\n                   message is single-line
 //! ```
 //!
+//! Request lines are bounded by [`MAX_REQUEST_LINE`]: a longer line is
+//! discarded up to its newline and answered with
+//! `ERR request line exceeds N bytes`, and the connection stays open.
+//!
 //! [`serve_connection`] runs the server side of one connection over any
 //! reader/writer pair (stdin/stdout or a TCP stream); [`read_response`] is
 //! the client-side frame parser.
@@ -51,6 +55,58 @@ use crate::{Service, ServiceError, UpdateOp};
 use std::io::{self, BufRead, Write};
 use std::path::Path;
 use std::sync::Arc;
+
+/// Longest request line [`serve_connection`] accepts, in bytes, newline
+/// excluded. The bound keeps one client from growing a connection's line
+/// buffer without limit.
+pub const MAX_REQUEST_LINE: usize = 1 << 20;
+
+/// What [`read_request_line`] found.
+enum LineRead {
+    /// End of input before any byte of a new line.
+    Eof,
+    /// A line (without its newline) is in the buffer.
+    Line,
+    /// The line exceeded [`MAX_REQUEST_LINE`]; it was consumed and dropped.
+    TooLong,
+}
+
+/// Reads one request line into `line` without ever holding more than
+/// [`MAX_REQUEST_LINE`] bytes of it: an over-long line is consumed through
+/// its newline (or end of input) and reported as [`LineRead::TooLong`].
+fn read_request_line(reader: &mut impl BufRead, line: &mut Vec<u8>) -> io::Result<LineRead> {
+    line.clear();
+    let mut too_long = false;
+    loop {
+        let buf = match reader.fill_buf() {
+            Ok(buf) => buf,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if buf.is_empty() {
+            return Ok(match (too_long, line.is_empty()) {
+                (true, _) => LineRead::TooLong,
+                (false, true) => LineRead::Eof,
+                (false, false) => LineRead::Line,
+            });
+        }
+        let newline = buf.iter().position(|&b| b == b'\n');
+        let chunk = &buf[..newline.unwrap_or(buf.len())];
+        if !too_long {
+            if line.len() + chunk.len() > MAX_REQUEST_LINE {
+                too_long = true;
+                line.clear();
+            } else {
+                line.extend_from_slice(chunk);
+            }
+        }
+        let used = newline.map_or(buf.len(), |i| i + 1);
+        reader.consume(used);
+        if newline.is_some() {
+            return Ok(if too_long { LineRead::TooLong } else { LineRead::Line });
+        }
+    }
+}
 
 /// Splits up to `n` leading whitespace-delimited words off `s`, returning
 /// them plus the raw remainder (leading whitespace trimmed). The update
@@ -202,13 +258,21 @@ pub fn serve_connection(
 ) -> io::Result<u64> {
     let mut served = 0;
     let mut current = service.default_database().to_string();
-    let mut line = String::new();
+    let mut raw = Vec::new();
     let mut frame = FrameBuf::new();
     loop {
-        line.clear();
-        if reader.read_line(&mut line)? == 0 {
-            return Ok(served); // EOF
+        match read_request_line(reader, &mut raw)? {
+            LineRead::Eof => return Ok(served),
+            LineRead::TooLong => {
+                write_err(writer, &format!("request line exceeds {MAX_REQUEST_LINE} bytes"))?;
+                continue;
+            }
+            LineRead::Line => {}
         }
+        let Ok(line) = std::str::from_utf8(&raw) else {
+            write_err(writer, "request line is not valid UTF-8")?;
+            continue;
+        };
         let request = line.trim();
         match request {
             "" => continue,
@@ -393,6 +457,25 @@ mod tests {
         let mut r = BufReader::new(&pooled[..]);
         assert_eq!(read_response(&mut r).unwrap(), Frame::Ok("<a>1</a>".into()));
         assert_eq!(read_response(&mut r).unwrap(), Frame::Ok("x\ny".into()));
+    }
+
+    #[test]
+    fn request_lines_are_bounded_across_buffer_refills() {
+        // A tiny buffer capacity forces every line through several refills.
+        let exact = "a".repeat(MAX_REQUEST_LINE);
+        let long = "b".repeat(MAX_REQUEST_LINE + 1);
+        let input = format!("{exact}\n{long}\nok\n{long}");
+        let mut reader = BufReader::with_capacity(7, input.as_bytes());
+        let mut line = Vec::new();
+        let mut next = || {
+            let kind = read_request_line(&mut reader, &mut line).unwrap();
+            (kind, String::from_utf8(line.clone()).unwrap())
+        };
+        assert!(matches!(next(), (LineRead::Line, l) if l == exact), "the cap itself fits");
+        assert!(matches!(next(), (LineRead::TooLong, _)));
+        assert!(matches!(next(), (LineRead::Line, l) if l == "ok"), "the next line is intact");
+        assert!(matches!(next(), (LineRead::TooLong, _)), "an over-long last line without newline");
+        assert!(matches!(next(), (LineRead::Eof, _)));
     }
 
     #[test]

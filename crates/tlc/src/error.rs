@@ -30,11 +30,6 @@ pub enum Error {
     /// deadline between operators, so the abort is clean: no partial results
     /// escape, and the store is untouched.
     DeadlineExceeded,
-    /// Execution was cancelled cooperatively: a sibling shard of the same
-    /// request failed or hit the deadline first and raised the shared
-    /// cancellation flag (see [`mod@crate::par`]). Like a deadline abort,
-    /// the cut is clean — no partial results escape.
-    Cancelled,
     /// The static LC dataflow analysis ([`mod@crate::analyze`]) rejected the
     /// plan: some operator references a logical class its input does not
     /// produce.
@@ -54,7 +49,6 @@ impl fmt::Display for Error {
             Error::Unsupported(m) => write!(f, "unsupported query feature: {m}"),
             Error::UnboundVariable(v) => write!(f, "unbound variable ${v}"),
             Error::DeadlineExceeded => write!(f, "execution exceeded its deadline"),
-            Error::Cancelled => write!(f, "execution cancelled by a sibling shard"),
             Error::Analyze(e) => write!(f, "plan failed LC dataflow analysis: {e}"),
         }
     }

@@ -1,18 +1,15 @@
 //! Plan execution: set-at-a-time, bottom-up, pipelined (paper §5).
 
-use crate::arena::{ExecArena, RegFrame};
 use crate::error::{Error, Result};
-use crate::logical_class::LclId;
 use crate::ops;
 use crate::ops::filter::FilterPred;
 use crate::plan::Plan;
 use crate::stats::ExecStats;
 use crate::tree::{ResultTree, TempIdGen};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use xmldb::{Database, NodeId, OrdRange};
+use xmldb::Database;
 
 /// A pluggable store for pattern-match results, consulted by the executor
 /// before running a Select/Filter chain and populated after (see
@@ -31,27 +28,11 @@ pub trait MatchCache: Send + Sync {
 }
 
 /// How many deadline ticks pass between `Instant::now()` calls inside long
-/// pattern matches. Power of two so the check is a mask. Cooperative
-/// cancellation ([`ExecCtx::cancel`]) is observed at the same period, so a
-/// shard aborts with the same candidate granularity the single-threaded
-/// deadline path has.
+/// pattern matches. Power of two so the check is a mask.
 const DEADLINE_TICK_PERIOD: u32 = 1024;
 
-/// Restriction of one pattern class's candidates to a pre-order window —
-/// the executor-side half of intra-query sharding ([`mod@crate::par`]).
-/// The matcher applies it to candidates of the class labelled `lcl` only;
-/// every other class matches unrestricted, so matching *below* a shard's
-/// anchors (and the whole right side of any join) is identical to the
-/// sequential execution.
-#[derive(Debug, Clone, Copy)]
-pub struct AnchorRange {
-    /// The class whose candidates are restricted (the shard anchor).
-    pub lcl: LclId,
-    /// The pre-order ordinal window.
-    pub range: OrdRange,
-}
-
-/// Execution context: temporary-id generator plus counters.
+/// Execution context: temporary-id generator, counters, deadline and match
+/// cache.
 #[derive(Default)]
 pub struct ExecCtx {
     /// Temporary node identifier source (paper §5.1, Property 4).
@@ -66,26 +47,6 @@ pub struct ExecCtx {
     pub deadline: Option<Instant>,
     /// Optional pattern-match cache consulted for Select/Filter chains.
     pub cache: Option<Arc<dyn MatchCache>>,
-    /// Optional shard anchor-range restriction (see [`mod@crate::par`]).
-    pub anchor_range: Option<AnchorRange>,
-    /// Optional cooperative cancellation flag shared by the sibling shards
-    /// of one request: a shard that fails raises it, and every other shard
-    /// observes it at deadline-tick granularity and aborts with
-    /// [`Error::Cancelled`] — no orphaned shard work survives an error.
-    pub cancel: Option<Arc<AtomicBool>>,
-    /// Pre-computed stage results injected by plan-node identity (see
-    /// [`mod@crate::par`]): when execution reaches a plan node whose
-    /// address matches a key, the stored trees are returned instead of
-    /// evaluating that subplan. Keys are only meaningful for the exact
-    /// plan allocation the caller executes.
-    pub injected: Vec<(usize, Arc<Vec<ResultTree>>)>,
-    /// Request-scoped buffer recycling for matching, the operator kernels
-    /// and the VM register frame (see [`mod@crate::arena`]). The default is
-    /// a private arena with the stock byte budget; the query service
-    /// installs pooled arenas recycled across requests, and
-    /// [`ExecArena::disabled`] reproduces the pre-arena allocation behavior
-    /// byte- and counter-identically (minus the arena counters).
-    pub arena: ExecArena,
     ticks: u32,
 }
 
@@ -96,10 +57,6 @@ impl fmt::Debug for ExecCtx {
             .field("stats", &self.stats)
             .field("deadline", &self.deadline)
             .field("cache", &self.cache.is_some())
-            .field("anchor_range", &self.anchor_range)
-            .field("cancel", &self.cancel.is_some())
-            .field("injected", &self.injected.len())
-            .field("arena", &self.arena)
             .field("ticks", &self.ticks)
             .finish()
     }
@@ -122,65 +79,10 @@ impl ExecCtx {
         self
     }
 
-    /// Takes a recycled candidate buffer from the arena, counting a
-    /// fallback allocation when none is parked.
-    #[inline]
-    pub fn alloc_nodes(&mut self) -> Vec<NodeId> {
-        let (buf, fresh) = self.arena.take_nodes();
-        self.stats.fallback_allocs += fresh as u64;
-        buf
-    }
-
-    /// Returns a spent candidate buffer to the arena and tracks the
-    /// request's retained-byte high-water mark.
-    #[inline]
-    pub fn free_nodes(&mut self, buf: Vec<NodeId>) {
-        self.arena.give_nodes(buf);
-        self.stats.arena_bytes = self.stats.arena_bytes.max(self.arena.high_water() as u64);
-    }
-
-    /// Takes a recycled witness-tree list (see [`ExecCtx::alloc_nodes`]).
-    #[inline]
-    pub fn alloc_trees(&mut self) -> Vec<ResultTree> {
-        let (buf, fresh) = self.arena.take_trees();
-        self.stats.fallback_allocs += fresh as u64;
-        buf
-    }
-
-    /// Returns a spent witness-tree list to the arena; its contents are
-    /// dropped eagerly (see [`ExecCtx::free_nodes`]).
-    #[inline]
-    pub fn free_trees(&mut self, buf: Vec<ResultTree>) {
-        self.arena.give_trees(buf);
-        self.stats.arena_bytes = self.stats.arena_bytes.max(self.arena.high_water() as u64);
-    }
-
-    /// Takes a recycled VM register frame (see [`ExecCtx::alloc_nodes`]).
-    #[inline]
-    pub fn alloc_frame(&mut self) -> RegFrame {
-        let (buf, fresh) = self.arena.take_frame();
-        self.stats.fallback_allocs += fresh as u64;
-        buf
-    }
-
-    /// Returns a spent register frame to the arena (see
-    /// [`ExecCtx::free_nodes`]).
-    #[inline]
-    pub fn free_frame(&mut self, buf: RegFrame) {
-        self.arena.give_frame(buf);
-        self.stats.arena_bytes = self.stats.arena_bytes.max(self.arena.high_water() as u64);
-    }
-
-    /// Deadline and cancellation check at an operator boundary. Free when
-    /// neither is set — `Instant::now()` is only evaluated on the `Some`
-    /// path, and the cancel flag is one relaxed load.
+    /// Deadline check at an operator boundary. Free when no deadline is
+    /// set — `Instant::now()` is only evaluated on the `Some` path.
     #[inline]
     pub(crate) fn check_deadline(&self) -> Result<()> {
-        if let Some(cancel) = &self.cancel {
-            if cancel.load(Ordering::Relaxed) {
-                return Err(Error::Cancelled);
-            }
-        }
         match self.deadline {
             None => Ok(()),
             Some(d) => {
@@ -193,15 +95,14 @@ impl ExecCtx {
         }
     }
 
-    /// Fine-grained deadline/cancellation check for long-running matches: a
-    /// no-op when neither is set, and at most one `Instant::now()` per
+    /// Fine-grained deadline check for long-running matches: a no-op when
+    /// no deadline is set, and at most one `Instant::now()` per
     /// `DEADLINE_TICK_PERIOD` calls otherwise. Pattern matching calls this
-    /// per candidate step so a batched group — or a shard whose sibling
-    /// already failed — can abort mid-match instead of only at operator
-    /// boundaries.
+    /// per candidate step so a request can abort mid-match instead of only
+    /// at operator boundaries.
     #[inline]
     pub fn tick(&mut self) -> Result<()> {
-        if self.deadline.is_none() && self.cancel.is_none() {
+        if self.deadline.is_none() {
             return Ok(());
         }
         self.ticks = self.ticks.wrapping_add(1);
@@ -613,15 +514,6 @@ fn run_traced(
 
 fn run(db: &Database, plan: &Plan, ctx: &mut ExecCtx) -> Result<Vec<ResultTree>> {
     ctx.check_deadline()?;
-    // Stage injection (intra-query sharding): a final-wave shard receives
-    // the pre-computed result of each join's right subplan and returns it
-    // by plan-node identity instead of re-evaluating the subtree.
-    if !ctx.injected.is_empty() {
-        let key = std::ptr::from_ref(plan) as usize;
-        if let Some((_, trees)) = ctx.injected.iter().find(|(k, _)| *k == key) {
-            return Ok(trees.as_ref().clone());
-        }
-    }
     // Pattern-match chains (Select/Filter and the Project/DupElim glue
     // between them) are pure functions of the database snapshot, so a
     // match cache (when attached) can answer them without matching. The
@@ -631,12 +523,7 @@ fn run(db: &Database, plan: &Plan, ctx: &mut ExecCtx) -> Result<Vec<ResultTree>>
         if let Some(key) = match_chain_key(plan) {
             if let Some(hit) = cache.get(&key) {
                 ctx.stats.match_cache_hits += 1;
-                // Each tree must be cloned out of the shared entry, but
-                // the list holding them comes from the arena — on warm
-                // caches this is the request's dominant allocation site.
-                let mut out = ctx.alloc_trees();
-                out.extend(hit.iter().cloned());
-                return Ok(out);
+                return Ok(hit.as_ref().clone());
             }
             let trees = run_checked(db, plan, ctx)?;
             ctx.stats.match_cache_misses += 1;

@@ -19,9 +19,9 @@
 //! * [`ops`] — the algebra's operators: Select, Filter, Join, Project,
 //!   Duplicate-Elimination, Aggregate, Construct, Sort, Union, and the
 //!   redundancy-eliminating **Flatten / Shadow / Illuminate** (§4).
-//! * [`plan`], [`exec`] — logical plans and the set-at-a-time executor.
-//! * [`arena`] — request-scoped execution memory: recycled buffer pools
-//!   with bump-style reset, threaded through [`exec::ExecCtx`].
+//! * [`plan`], [`exec`] — logical plans and the set-at-a-time executor,
+//!   which runs one request on one thread through a lean
+//!   [`exec::ExecCtx`] (temp ids, counters, deadline, match cache).
 //! * [`mod@translate`] — the **XQuery → TLC** translation algorithm (Figure 6),
 //!   covering the Figure 5 fragment including nested FLWOR.
 //! * [`rewrite`] — the Flatten and Shadow/Illuminate rewrite rules (§4.2,
@@ -65,7 +65,6 @@
 //! ```
 
 pub mod analyze;
-pub mod arena;
 pub mod error;
 pub mod exec;
 pub mod generator;
@@ -76,7 +75,6 @@ pub mod matching;
 pub mod ops;
 pub mod optimizer;
 pub mod output;
-pub mod par;
 pub mod pattern;
 pub mod physical;
 pub mod plan;
@@ -90,12 +88,11 @@ pub use analyze::{
     analyze, distinctness, plan_footprint, temp_classes, verify, AnalyzeError, Card, Distinctness,
     Footprint, PlanType, PredDomain,
 };
-pub use arena::{ExecArena, RegFrame, DEFAULT_ARENA_BYTES};
 pub use error::{Error, Result};
 pub use exec::{
     check_conformance, execute, execute_to_string, execute_traced, execute_with_ctx,
     execute_with_deadline, match_chain_footprints, match_chain_key, match_chain_keys, render_trace,
-    AnchorRange, ExecCtx, MatchCache, OpTrace,
+    ExecCtx, MatchCache, OpTrace,
 };
 pub use generator::{random_plan, GenPlan};
 pub use lint::{lint, Lint, LintCode};

@@ -47,13 +47,11 @@ pub fn match_apt_database(db: &Database, apt: &Apt, ctx: &mut ExecCtx) -> Result
     ctx.stats.pattern_matches += 1;
     let root = db.root(doc_id);
     let anchor = INode::of(db, root);
-    let mut out = ctx.alloc_trees();
     let mut m = Matcher::new(db, apt, ctx);
     let Some(alts) = m.expand(None, &anchor)? else {
-        m.finish();
-        return Ok(out);
+        return Ok(Vec::new());
     };
-    out.reserve(alts.len());
+    let mut out = Vec::with_capacity(alts.len());
     for alt in alts {
         let mut tree = ResultTree::with_root(RSource::Base(root));
         tree.assign_lcl(tree.root(), *lcl);
@@ -62,7 +60,6 @@ pub fn match_apt_database(db: &Database, apt: &Apt, ctx: &mut ExecCtx) -> Result
         out.push(tree);
     }
     m.ctx.stats.trees_built += out.len() as u64;
-    m.finish();
     Ok(out)
 }
 
@@ -72,17 +69,16 @@ pub fn match_apt_database(db: &Database, apt: &Apt, ctx: &mut ExecCtx) -> Result
 pub fn match_apt_extend(
     db: &Database,
     apt: &Apt,
-    mut inputs: Vec<ResultTree>,
+    inputs: Vec<ResultTree>,
     ctx: &mut ExecCtx,
 ) -> Result<Vec<ResultTree>> {
     let AptRoot::Lcl(lcl) = &apt.root else {
         return Err(Error::Unsupported("extension match requires an LCL-rooted APT".into()));
     };
     ctx.stats.pattern_matches += 1;
-    let mut out = ctx.alloc_trees();
-    out.reserve(inputs.len());
+    let mut out = Vec::with_capacity(inputs.len());
     let mut m = Matcher::new(db, apt, ctx);
-    'tree: for tree in inputs.drain(..) {
+    'tree: for tree in inputs {
         let anchors = tree.members(*lcl);
         // Per-anchor alternatives; the tree fans out over their product.
         let mut per_anchor: Vec<(RNodeId, Vec<Vec<Frag>>)> = Vec::with_capacity(anchors.len());
@@ -121,8 +117,6 @@ pub fn match_apt_extend(
             out.push(t);
         }
     }
-    m.ctx.free_trees(inputs);
-    m.finish();
     Ok(out)
 }
 
@@ -156,18 +150,6 @@ impl<'a> Matcher<'a> {
         let postings = vec![None; apt.nodes.len()];
         let forms = apt.canonical_forms();
         Matcher { db, apt, ctx, postings, forms }
-    }
-
-    /// Donates the per-run value-posting buffers to the arena's candidate
-    /// free list — they are plain `NodeId` vectors, so later candidate
-    /// takes reuse their capacity. Stats-neutral: the buffers were
-    /// allocated by the index lookups, not taken from the arena.
-    fn finish(mut self) {
-        for slot in self.postings.drain(..) {
-            if let Some(Some(buf)) = slot {
-                self.ctx.arena.give_nodes(buf);
-            }
-        }
     }
 }
 
@@ -214,7 +196,7 @@ impl Matcher<'_> {
     /// Options contributed by pattern child `v` for a parent bound to `x`.
     /// Each option is the set of `v`-fragments present in one witness tree.
     fn child_options(&mut self, v: usize, x: &INode) -> Result<Option<Vec<Vec<Frag>>>> {
-        let mut cands = self.candidates(v, x)?;
+        let cands = self.candidates(v, x)?;
         let pat = &self.apt.nodes[v];
         // Fast path for leaf pattern nodes (the common case for grouped
         // aggregate arguments like `count($s//item)`): every candidate is a
@@ -230,29 +212,27 @@ impl Matcher<'_> {
                             None
                         }
                     } else {
-                        Some(cands.drain(..).map(|c| vec![frag(c)]).collect())
+                        Some(cands.into_iter().map(|c| vec![frag(c)]).collect())
                     }
                 }
                 MSpec::Plus | MSpec::Star => {
                     if cands.is_empty() && pat.mspec == MSpec::Plus {
                         None
                     } else {
-                        Some(vec![cands.drain(..).map(frag).collect()])
+                        Some(vec![cands.into_iter().map(frag).collect()])
                     }
                 }
             };
-            self.ctx.free_nodes(cands);
             return Ok(opts);
         }
         // Recursively match below each candidate; failed candidates drop out.
         let mut per_cand: Vec<(NodeId, Vec<Vec<Frag>>)> = Vec::with_capacity(cands.len());
-        for c in cands.drain(..) {
+        for c in cands {
             let c_inode = INode::of(self.db, c);
             if let Some(sub) = self.expand(Some(v), &c_inode)? {
                 per_cand.push((c, sub));
             }
         }
-        self.ctx.free_nodes(cands);
         Ok(match pat.mspec {
             MSpec::One | MSpec::Opt => {
                 let mut opts = Vec::new();
@@ -333,22 +313,11 @@ impl Matcher<'_> {
                 (candidates_in(postings, x), false)
             }
         };
-        let mut out = self.ctx.alloc_nodes();
-        out.reserve(slice.len());
-        // Shard anchor-range restriction (see crate::par): candidates of
-        // the shard anchor class outside this shard's pre-order window
-        // belong to sibling shards. Class labels are plan-unique, so no
-        // other pattern node can be filtered by accident.
-        let range = self.ctx.anchor_range.filter(|ar| ar.lcl == pat.lcl).map(|ar| ar.range);
+        let mut out = Vec::with_capacity(slice.len());
         for &id in slice {
             self.ctx.tick()?;
             self.ctx.stats.nodes_inspected += 1;
             self.ctx.stats.struct_cmps += 1;
-            if let Some(r) = range {
-                if !r.contains(id) {
-                    continue;
-                }
-            }
             if pat.axis == AxisRel::Child {
                 let level = db.node(id).level();
                 if level != x.level + 1 {

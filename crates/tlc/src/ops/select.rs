@@ -24,9 +24,6 @@ pub fn select(
     match &apt.root {
         AptRoot::Document { .. } => {
             debug_assert!(inputs.is_empty(), "document select is a leaf operator");
-            // The empty inputs vec may still carry capacity from an upstream
-            // operator; park it so the buffer keeps circulating.
-            ctx.free_trees(inputs);
             match_apt_database(db, apt, ctx)
         }
         AptRoot::Lcl(_) => match_apt_extend(db, apt, inputs, ctx),

@@ -35,18 +35,6 @@ pub struct ExecStats {
     /// Select/Filter evaluations that probed the match cache and ran the
     /// structural match (populating the cache afterwards).
     pub match_cache_misses: u64,
-    /// Buffer requests the execution arena could not serve from a recycled
-    /// free list — each one hit the global allocator. With the arena
-    /// disabled every buffer request counts here (the seed behavior).
-    pub fallback_allocs: u64,
-    /// High-water mark of capacity bytes parked in the execution arena
-    /// during this request (see [`crate::ExecArena::high_water`]).
-    /// [`ExecStats::absorb`] takes the max — the widest arena of a shard
-    /// wave — where every other counter sums.
-    pub arena_bytes: u64,
-    /// 1 when this request ran on a recycled (reset) pooled arena, 0 on a
-    /// fresh one; absorbed shard stats sum to the per-wave recycle count.
-    pub arena_resets: u64,
 }
 
 impl ExecStats {
@@ -67,16 +55,6 @@ impl ExecStats {
         self.struct_cmps += other.struct_cmps;
         self.match_cache_hits += other.match_cache_hits;
         self.match_cache_misses += other.match_cache_misses;
-        self.fallback_allocs += other.fallback_allocs;
-        self.arena_bytes = self.arena_bytes.max(other.arena_bytes);
-        self.arena_resets += other.arena_resets;
-    }
-
-    /// This bundle with the arena counters zeroed — the projection the
-    /// arena-equivalence tests compare on, since the arena must leave every
-    /// other counter (and the output bytes) untouched.
-    pub fn without_arena_counters(&self) -> ExecStats {
-        ExecStats { fallback_allocs: 0, arena_bytes: 0, arena_resets: 0, ..*self }
     }
 }
 
@@ -97,9 +75,6 @@ mod tests {
             struct_cmps: 8,
             match_cache_hits: 9,
             match_cache_misses: 10,
-            fallback_allocs: 11,
-            arena_bytes: 12,
-            arena_resets: 13,
         };
         let b = a;
         a.absorb(&b);
@@ -109,23 +84,5 @@ mod tests {
         assert_eq!(a.struct_cmps, 16);
         assert_eq!(a.match_cache_hits, 18);
         assert_eq!(a.match_cache_misses, 20);
-        assert_eq!(a.fallback_allocs, 22);
-        assert_eq!(a.arena_bytes, 12, "arena high water absorbs by max, not sum");
-        assert_eq!(a.arena_resets, 26);
-    }
-
-    #[test]
-    fn arena_projection_zeroes_only_arena_counters() {
-        let s = ExecStats {
-            probes: 1,
-            trees_built: 2,
-            fallback_allocs: 3,
-            arena_bytes: 4,
-            arena_resets: 5,
-            ..ExecStats::default()
-        };
-        let p = s.without_arena_counters();
-        assert_eq!((p.probes, p.trees_built), (1, 2));
-        assert_eq!((p.fallback_allocs, p.arena_bytes, p.arena_resets), (0, 0, 0));
     }
 }

@@ -33,13 +33,6 @@ impl TempIdGen {
         TempIdGen::default()
     }
 
-    /// Generator whose ids start at `base` — shard executions seed sibling
-    /// shards with disjoint high ranges so temporary idents minted on
-    /// different threads can never alias (see [`mod@crate::par`]).
-    pub fn starting_at(base: u64) -> Self {
-        TempIdGen { next: base }
-    }
-
     /// Next temporary id.
     pub fn fresh(&mut self) -> TempId {
         let id = TempId(self.next);

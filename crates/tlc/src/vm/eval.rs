@@ -39,11 +39,7 @@ fn peek(regs: &[Option<Vec<ResultTree>>], r: RegId) -> Result<&[ResultTree]> {
 /// content) matches the tree walker's exactly.
 pub fn run(db: &Database, prog: &Program, ctx: &mut ExecCtx) -> Result<Vec<ResultTree>> {
     let instrs = prog.instrs();
-    // Register frames are recycled through the context's arena: one take
-    // per run instead of a fresh allocation. Error paths just drop the
-    // frame (errors discard; see `crate::arena`).
-    let mut regs = ctx.alloc_frame();
-    regs.resize_with(prog.reg_count(), || None);
+    let mut regs: Vec<Option<Vec<ResultTree>>> = vec![None; prog.reg_count()];
     let mut ip = 0usize;
     while ip < instrs.len() {
         ctx.check_deadline()?;
@@ -52,12 +48,10 @@ pub fn run(db: &Database, prog: &Program, ctx: &mut ExecCtx) -> Result<Vec<Resul
                 if let Some(cache) = ctx.cache.clone() {
                     if let Some(hit) = cache.get(prog.key(*key)) {
                         ctx.stats.match_cache_hits += 1;
-                        // Clone the trees out of the shared entry into an
-                        // arena-recycled list (mirrors the walker's hit
-                        // path, so bytes and counters stay identical).
-                        let mut out = ctx.alloc_trees();
-                        out.extend(hit.iter().cloned());
-                        regs[dst.0 as usize] = Some(out);
+                        // Clone the trees out of the shared entry (mirrors
+                        // the walker's hit path, so bytes and counters stay
+                        // identical).
+                        regs[dst.0 as usize] = Some(hit.as_ref().clone());
                         ip = *target as usize;
                         continue;
                     }
@@ -152,9 +146,7 @@ pub fn run(db: &Database, prog: &Program, ctx: &mut ExecCtx) -> Result<Vec<Resul
                 regs[dst.0 as usize] = Some(out);
             }
             Instr::Return { src } => {
-                let out = take(&mut regs, *src);
-                ctx.free_frame(regs);
-                return out;
+                return take(&mut regs, *src);
             }
         }
         ip += 1;

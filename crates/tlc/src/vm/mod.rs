@@ -585,14 +585,7 @@ mod tests {
                 crate::serialize_results(&db, &expected),
                 "byte mismatch for {q}"
             );
-            // Arena counters legitimately differ between backends (the VM
-            // takes a register frame from the arena); everything else must
-            // match exactly.
-            assert_eq!(
-                vm.stats.without_arena_counters(),
-                walk.stats.without_arena_counters(),
-                "stats diverged for {q}"
-            );
+            assert_eq!(vm.stats, walk.stats, "stats diverged for {q}");
         }
     }
 
@@ -614,11 +607,7 @@ mod tests {
                     crate::serialize_results(&db, &expected),
                     "byte mismatch for {q} (pass {pass})"
                 );
-                assert_eq!(
-                    vm.stats.without_arena_counters(),
-                    walk.stats.without_arena_counters(),
-                    "cache stats diverged for {q} (pass {pass})"
-                );
+                assert_eq!(vm.stats, walk.stats, "cache stats diverged for {q} (pass {pass})");
             }
             assert_eq!(vm_cache.keys(), walk_cache.keys(), "cache content diverged for {q}");
         }

@@ -38,7 +38,6 @@ pub mod error;
 pub mod index;
 pub mod node;
 pub mod parse;
-pub mod partition;
 pub mod persist;
 pub mod serialize;
 pub mod tag;
@@ -50,7 +49,6 @@ pub use document::{Document, DocumentBuilder};
 pub use error::{Error, Result};
 pub use index::{TagIndex, ValueIndex};
 pub use node::{AxisRel, DocId, NodeId, NodeKind, TempId};
-pub use partition::{OrdRange, RangePartition};
 pub use persist::{load_file, load_path, save_file};
 pub use tag::{TagId, TagInterner};
 pub use update::{delete_subtree, insert_subtree, set_text, UpdateSummary};

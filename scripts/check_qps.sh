@@ -5,13 +5,13 @@
 # carry allocation counts (`*allocs_per_request`, from the counting
 # allocator in `experiments batch`) are additionally gated the other way:
 # a fresh count may not exceed its baseline by more than 1/TOLERANCE —
-# an allocation regression means the execution arena stopped absorbing
-# buffer traffic, which QPS alone can miss on fast hardware.
+# an allocation regression on the hot path, which QPS alone can miss on
+# fast hardware.
 #
 #   usage: check_qps.sh BASELINE.json FRESH.json [TOLERANCE]
 #
 # Figures are matched positionally: every `"qps"` / `"read_qps"` field, in
-# document order (batch reports carry batched / per-request / tree-walk
+# document order (batch reports carry cached / uncached / tree-walk
 # sides; rw reports carry one read_qps per write fraction), so baseline
 # and fresh runs must use the same experiment configuration. The default
 # tolerance of 0.5 guards against collapses — a regression that halves
@@ -58,7 +58,7 @@ paste <(echo "$base_vals") <(echo "$fresh_vals") | awk -v tol="$tolerance" '
 
 # Allocation-count gate (upper bound). Only engages when both reports
 # carry the figures, so reports without the counting allocator's output
-# (rw, parallel) pass through untouched.
+# (rw) pass through untouched.
 extract_allocs() {
     grep -oE '"[a-z_]*allocs_per_request":[0-9]+(\.[0-9]+)?' "$1" | cut -d: -f2 || true
 }
