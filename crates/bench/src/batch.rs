@@ -1,24 +1,15 @@
 //! The `experiments batch` workload: what the epoch-keyed pattern-match
-//! cache and the register-IR backend buy under realistic skewed traffic.
+//! cache buys under realistic skewed traffic.
 //!
 //! Many closed-loop clients replay a **seeded, skewed query mix** — a small
 //! hot set of templates receives most of the traffic, the rest of the
-//! evaluation workload fills the tail — against three services that differ
-//! in one setting each:
+//! evaluation workload fills the tail — against two services that differ
+//! in one setting:
 //!
-//! * **cached** — the default configuration: match cache on, register IR
-//!   on;
+//! * **cached** — the default configuration, match cache on;
 //! * **uncached** — match cache disabled (`match_cache_bytes = 0`); the
 //!   plan cache stays on in both, so the cached/uncached delta isolates
-//!   match caching, not compilation;
-//! * **tree-walk** — the cached configuration with the register-IR backend
-//!   forced off (`ir = false`). The cached/tree-walk QPS ratio isolates
-//!   what [`tlc::vm`] buys per request: with a warm match cache the kernels
-//!   barely run, so the delta is exactly the per-request work the compiler
-//!   hoisted out — the walker re-derives every chain's cache key (APT
-//!   fingerprints — string canonicalization at every cacheable node) on
-//!   each execution, while the compiled program carries its keys from
-//!   lowering.
+//!   match caching, not compilation.
 //!
 //! The cached side is bracketed by the counting allocator
 //! ([`crate::alloc`]), so the report carries its measured heap allocations
@@ -71,19 +62,13 @@ pub fn client_rng(seed: u64, client: usize) -> StdRng {
     StdRng::seed_from_u64(seed ^ (client as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
-/// One cached / uncached / tree-walk comparison.
+/// One cached / uncached comparison.
 #[derive(Debug, Clone)]
 pub struct BatchReport {
-    /// The default side: match cache on, register IR on.
+    /// The default side: match cache on.
     pub cached: LoadReport,
-    /// The match cache disabled; register IR on.
+    /// The match cache disabled.
     pub uncached: LoadReport,
-    /// The cached side with the register-IR backend forced off — identical
-    /// to `cached` except every execution walks the plan tree. The
-    /// `cached`/`tree_walk` QPS ratio isolates what the IR buys per request
-    /// (chiefly: cache keys are compiled into the program instead of
-    /// re-derived per execution).
-    pub tree_walk: LoadReport,
     /// Answers (any side) that did not byte-match the single-threaded
     /// reference. Must be zero.
     pub mismatches: u64,
@@ -104,22 +89,9 @@ impl BatchReport {
         }
     }
 
-    /// Cached QPS with the IR backend on over the same configuration with
-    /// it off (tree walk) — the isolated IR win.
-    pub fn ir_speedup(&self) -> f64 {
-        if self.tree_walk.qps() > 0.0 {
-            self.cached.qps() / self.tree_walk.qps()
-        } else {
-            f64::INFINITY
-        }
-    }
-
     /// No mismatched answers and no failed requests on any side.
     pub fn clean(&self) -> bool {
-        self.mismatches == 0
-            && self.cached.errors == 0
-            && self.uncached.errors == 0
-            && self.tree_walk.errors == 0
+        self.mismatches == 0 && self.cached.errors == 0 && self.uncached.errors == 0
     }
 
     /// The `BENCH_batch.json` document for this comparison (hand-rolled;
@@ -128,15 +100,12 @@ impl BatchReport {
         format!(
             "{{\"experiment\":\"batch\",\"factor\":{factor},\"clients\":{clients},\
              \"requests\":{requests},\"seed\":{seed},\
-             \"cached\":{},\"uncached\":{},\"tree_walk\":{},\
-             \"speedup\":{:.2},\"ir_speedup\":{:.2},\
+             \"cached\":{},\"uncached\":{},\"speedup\":{:.2},\
              \"match_cache_hit_rate\":{:.4},\"allocs_per_request\":{:.1},\
              \"mismatches\":{}}}\n",
             crate::rw::load_report_json(&self.cached),
             crate::rw::load_report_json(&self.uncached),
-            crate::rw::load_report_json(&self.tree_walk),
             self.speedup(),
-            self.ir_speedup(),
             self.hit_rate,
             self.allocs_per_request,
             self.mismatches,
@@ -147,22 +116,16 @@ impl BatchReport {
     pub fn render(&self, factor: f64) -> String {
         format!(
             "Skewed-mix replay ({HOT_TRAFFIC_PCT}% of traffic on {} hot queries), XMark factor {factor}\n\
-             cached (ir on)    : {}\n\
-             uncached          : {}\n\
-             tree-walk (ir off): {}\n\
+             cached  : {}\n\
+             uncached: {}\n\
              throughput gain from the match cache: {:.2}x\n\
-             per-request gain from register IR (ir on vs off): {:.2}x\n\
-             ir non-regression: {}\n\
              match cache hit rate: {:.1}%\n\
              heap allocs/request (cached): {:.0}\n\
              byte mismatches vs single-threaded reference: {}\n",
             HOT_SET.len(),
             self.cached.summary(),
             self.uncached.summary(),
-            self.tree_walk.summary(),
             self.speedup(),
-            self.ir_speedup(),
-            if self.ir_speedup() >= 0.85 { "ok" } else { "REGRESSED" },
             self.hit_rate * 100.0,
             self.allocs_per_request,
             self.mismatches,
@@ -174,9 +137,9 @@ impl BatchReport {
 /// requests each, byte-checking every answer against `refs`.
 ///
 /// Before the clock starts, every template is executed once so the timed
-/// window measures warm steady state: plan-cache compiles, register-IR
-/// lowering and (where enabled) match-cache cold misses all land in the
-/// warmup, not in the comparison.
+/// window measures warm steady state: plan-cache compiles and (where
+/// enabled) match-cache cold misses all land in the warmup, not in the
+/// comparison.
 pub(crate) fn run_mix(
     svc: &Service,
     clients: usize,
@@ -253,7 +216,7 @@ fn counted_mix(
 }
 
 /// The `experiments batch` experiment: identical skewed traffic through
-/// the cached, uncached and tree-walk configurations, against the same
+/// the cached and uncached configurations, against the same
 /// database, every answer byte-checked. Workers are kept below the client
 /// count so requests queue, as they do under load.
 pub fn cached_vs_uncached(factor: f64, clients: usize, requests: usize, seed: u64) -> BatchReport {
@@ -277,7 +240,6 @@ pub fn cached_vs_uncached_on(
     let cached_cfg =
         ServiceConfig { workers, queue_depth: clients.max(4) * 4, ..ServiceConfig::default() };
     let uncached_cfg = ServiceConfig { match_cache_bytes: 0, ..cached_cfg.clone() };
-    let tree_walk_cfg = ServiceConfig { ir: false, ..cached_cfg.clone() };
     let mismatches = AtomicU64::new(0);
 
     let cached_svc = Service::new(Arc::clone(&db), cached_cfg);
@@ -287,16 +249,12 @@ pub fn cached_vs_uncached_on(
     let lookups = cache.hits + cache.misses;
     let hit_rate = if lookups == 0 { 0.0 } else { cache.hits as f64 / lookups as f64 };
 
-    let uncached_svc = Service::new(Arc::clone(&db), uncached_cfg);
+    let uncached_svc = Service::new(db, uncached_cfg);
     let uncached = run_mix(&uncached_svc, clients, requests, seed, &texts, &refs, &mismatches);
-
-    let tree_walk_svc = Service::new(db, tree_walk_cfg);
-    let tree_walk = run_mix(&tree_walk_svc, clients, requests, seed, &texts, &refs, &mismatches);
 
     BatchReport {
         cached,
         uncached,
-        tree_walk,
         mismatches: mismatches.into_inner(),
         hit_rate,
         allocs_per_request,
@@ -339,16 +297,14 @@ mod tests {
     fn batch_experiment_is_clean_and_hits_the_match_cache() {
         let report = cached_vs_uncached(0.0005, 4, 30, 7);
         assert!(report.clean(), "defects: {}", report.render(0.0005));
-        assert_eq!(report.cached.ok + report.uncached.ok + report.tree_walk.ok, 3 * 4 * 30);
+        assert_eq!(report.cached.ok + report.uncached.ok, 2 * 4 * 30);
         assert!(report.hit_rate > 0.0, "hot set never hit the match cache");
         assert!(report.allocs_per_request > 0.0, "counting allocator not active");
         let rendered = report.render(0.0005);
         assert!(rendered.contains("match cache hit rate"), "{rendered}");
-        assert!(rendered.contains("register IR"), "{rendered}");
         assert!(rendered.contains("heap allocs/request"), "{rendered}");
         let json = report.to_json(0.0005, 4, 30, 7);
-        assert!(json.contains("\"tree_walk\":"), "{json}");
-        assert!(json.contains("\"ir_speedup\":"), "{json}");
+        assert!(json.contains("\"uncached\":"), "{json}");
         assert!(json.contains("\"allocs_per_request\":"), "{json}");
     }
 }

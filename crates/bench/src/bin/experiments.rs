@@ -21,9 +21,7 @@
 //!
 //! `batch` replays a seeded skewed query mix (a hot set takes most of the
 //! traffic) from N closed-loop clients through the default match-cached
-//! service, through an uncached one (match cache off), and through the
-//! cached one with the register-IR backend forced off (`ir = false`) —
-//! the cached/tree-walk QPS ratio isolates the IR win — byte-checking
+//! service and through an uncached one (match cache off), byte-checking
 //! every answer against a single-threaded reference. Exits non-zero on
 //! any mismatch, failed request, or a cold match cache.
 //!
@@ -48,8 +46,8 @@
 //! plans (default 300), each checked for runtime conformance to its
 //! inferred type, liveness-pruning byte-identity, empty-select lint
 //! truthfulness, footprint-based cache-carry correctness under a seeded
-//! mutation, and register-IR/tree-walk byte equality (no cache, cold
-//! cache, and warm cache). Exits non-zero on any soundness violation.
+//! mutation, and match-cache transparency (no cache, cold cache and warm
+//! cache answer byte-identically). Exits non-zero on any soundness violation.
 //!
 //! `fig15 --json`, `concurrent --json` and `hotswap --json` write
 //! machine-readable reports (`BENCH_fig15.json`, `BENCH_concurrent.json`,
@@ -208,10 +206,10 @@ fn run_concurrent(factor: f64, threads: usize, rounds: usize, json: Option<&str>
     }
 }
 
-/// Match-cached service versus uncached and tree-walk execution on a
-/// seeded skewed mix, every answer byte-checked. Exits non-zero if any answer
-/// mismatched the single-threaded reference, any request failed, or the
-/// match cache never hit (the regression CI guards against).
+/// Match-cached service versus uncached execution on a seeded skewed mix,
+/// every answer byte-checked. Exits non-zero if any answer mismatched the
+/// single-threaded reference, any request failed, or the match cache
+/// never hit (the regression CI guards against).
 fn run_batch(factor: f64, clients: usize, requests: usize, seed: u64, json: Option<&str>) {
     eprintln!(
         "generating XMark factor {factor}; {clients} clients x {requests} requests, seed {seed} ..."
@@ -223,11 +221,8 @@ fn run_batch(factor: f64, clients: usize, requests: usize, seed: u64, json: Opti
     }
     if !report.clean() {
         eprintln!(
-            "batch run FAILED: {} mismatch(es), {} / {} / {} error(s)",
-            report.mismatches,
-            report.cached.errors,
-            report.uncached.errors,
-            report.tree_walk.errors
+            "batch run FAILED: {} mismatch(es), {} / {} error(s)",
+            report.mismatches, report.cached.errors, report.uncached.errors
         );
         std::process::exit(1);
     }

@@ -16,10 +16,10 @@
 //!   [`tlc::Footprint`] is disjoint from a seeded mutation are carried into
 //!   the post-mutation snapshot, and the answer there must byte-match a
 //!   from-scratch execution;
-//! * **register IR** — every verified plan is lowered to a [`tlc::vm`]
-//!   program and executed on the bytecode evaluator three ways (no cache,
-//!   cold cache, warm cache); each run must byte-match the tree walker and
-//!   the cold runs must leave identical match-cache entries behind.
+//! * **match-cache transparency** — every verified plan runs three ways
+//!   (no cache, cold cache, then warm over the entries the cold run left
+//!   behind); all three must serialize to the same bytes, or all three
+//!   must fail.
 //!
 //! Any discrepancy is a soundness violation, not noise: the generator only
 //! emits plans the analyzer accepted, so the analyzer has vouched for every
@@ -59,11 +59,11 @@ pub struct LintcheckReport {
     pub empty_select_violations: u64,
     /// Carried-cache executions that diverged from a fresh execution.
     pub carry_violations: u64,
-    /// Plans successfully lowered to register-IR programs.
-    pub ir_programs: u64,
-    /// Plans that failed to lower, or whose IR execution diverged from the
-    /// tree walker (output bytes or match-cache content, any cache state).
-    pub ir_violations: u64,
+    /// Plans replayed with no, a cold and a warm match cache.
+    pub cache_plans: u64,
+    /// Plans whose cold- or warm-cache answer diverged from the uncached
+    /// one (output bytes, or one side failing alone).
+    pub cache_violations: u64,
 }
 
 impl LintcheckReport {
@@ -74,7 +74,7 @@ impl LintcheckReport {
             && self.prune_violations == 0
             && self.empty_select_violations == 0
             && self.carry_violations == 0
-            && self.ir_violations == 0
+            && self.cache_violations == 0
     }
 
     /// Multi-line human-readable summary.
@@ -83,21 +83,21 @@ impl LintcheckReport {
             "Differential soundness oracle, XMark factor {factor}, seed {seed}\n\
              {} random plan(s) checked ({} wrapper op(s), {} Construct(s)), {} lint(s) raised\n\
              footprint carry: {} chain entr(ies) carried, {} dropped\n\
-             register IR: {} program(s) lowered and replayed against the tree walker\n\
-             violations: {} exec, {} conformance, {} prune, {} empty-select, {} carry, {} ir\n",
+             match cache: {} plan(s) replayed uncached, cold and warm\n\
+             violations: {} exec, {} conformance, {} prune, {} empty-select, {} carry, {} cache\n",
             self.plans,
             self.wrappers,
             self.constructs,
             self.lints,
             self.chains_carried,
             self.chains_dropped,
-            self.ir_programs,
+            self.cache_plans,
             self.exec_violations,
             self.conformance_violations,
             self.prune_violations,
             self.empty_select_violations,
             self.carry_violations,
-            self.ir_violations,
+            self.cache_violations,
         )
     }
 
@@ -109,7 +109,7 @@ impl LintcheckReport {
              \"chains_carried\":{},\"chains_dropped\":{},\
              \"exec_violations\":{},\"conformance_violations\":{},\
              \"prune_violations\":{},\"empty_select_violations\":{},\
-             \"carry_violations\":{},\"ir_programs\":{},\"ir_violations\":{},\
+             \"carry_violations\":{},\"cache_plans\":{},\"cache_violations\":{},\
              \"clean\":{}}}\n",
             self.plans,
             self.wrappers,
@@ -122,8 +122,8 @@ impl LintcheckReport {
             self.prune_violations,
             self.empty_select_violations,
             self.carry_violations,
-            self.ir_programs,
-            self.ir_violations,
+            self.cache_plans,
+            self.cache_violations,
             self.clean(),
         )
     }
@@ -254,82 +254,36 @@ fn check_one(
         }
     }
 
-    check_ir(db, plan, seed, report);
+    check_cache(db, plan, seed, report);
     check_footprint_carry(db, plan, seed, rng, report);
 }
 
-/// Differential check of the register-IR backend: lower the plan, then run
-/// the bytecode evaluator with no cache, a cold cache, and a warm cache,
-/// byte-comparing every answer against the tree walker under the same
-/// cache state — and the two cold runs' recorded cache entries against
-/// each other, since the compiled probe/store protocol claims to leave the
-/// exact cache content the walker does.
-fn check_ir(db: &Database, plan: &Plan, seed: u64, report: &mut LintcheckReport) {
-    let prog = match tlc::vm::lower(plan) {
-        Ok(prog) => prog,
-        Err(e) => {
-            eprintln!("lintcheck seed {seed}: verified plan failed to lower: {e}");
-            report.ir_violations += 1;
-            return;
-        }
-    };
-    report.ir_programs += 1;
-    let vm_exec = |cache: Option<Arc<dyn MatchCache>>| {
+/// Differential check of the match cache: run the plan with no cache, a
+/// cold cache, and a warm cache (the entries the cold run recorded); all
+/// three must serialize to the same bytes, or all three must fail.
+fn check_cache(db: &Database, plan: &Plan, seed: u64, report: &mut LintcheckReport) {
+    report.cache_plans += 1;
+    let exec = |cache: Option<Arc<RecordingCache>>| {
         let mut ctx = ExecCtx::new();
-        if let Some(cache) = cache {
-            ctx = ctx.with_cache(cache);
-        }
-        tlc::vm::run(db, &prog, &mut ctx).map(|trees| tlc::serialize_results(db, &trees))
-    };
-    let walk_exec = |cache: Option<Arc<dyn MatchCache>>| {
-        let mut ctx = ExecCtx::new();
-        if let Some(cache) = cache {
-            ctx = ctx.with_cache(cache);
-        }
+        ctx.cache = cache.map(|c| c as Arc<dyn MatchCache>);
         tlc::execute_with_ctx(db, plan, &mut ctx).map(|trees| tlc::serialize_results(db, &trees))
     };
-    // Two errors count as agreement (both backends refused identically).
-    let diverged = |walk: &Result<String, tlc::Error>, vm: &Result<String, tlc::Error>| {
-        !(matches!((walk, vm), (Ok(a), Ok(b)) if a == b) || (walk.is_err() && vm.is_err()))
-    };
-
-    // No cache attached: probes fall through, stores are no-ops.
-    if diverged(&walk_exec(None), &vm_exec(None)) {
-        eprintln!("lintcheck seed {seed}: IR output diverged from the tree walker (no cache)");
-        report.ir_violations += 1;
-        return;
-    }
-
-    // Cold caches, one per engine: outputs and recorded entries must agree.
-    let walk_cache = Arc::new(RecordingCache::default());
-    let vm_cache = Arc::new(RecordingCache::default());
-    let walk_cold = walk_exec(Some(Arc::clone(&walk_cache) as Arc<dyn MatchCache>));
-    let vm_cold = vm_exec(Some(Arc::clone(&vm_cache) as Arc<dyn MatchCache>));
-    if diverged(&walk_cold, &vm_cold) {
-        eprintln!("lintcheck seed {seed}: IR output diverged from the tree walker (cold cache)");
-        report.ir_violations += 1;
-        return;
-    }
-    {
-        let walk_entries = walk_cache.entries.lock().expect("cache lock");
-        let vm_entries = vm_cache.entries.lock().expect("cache lock");
-        let walk_keys: Vec<&String> = walk_entries.keys().collect();
-        let vm_keys: Vec<&String> = vm_entries.keys().collect();
-        if walk_keys != vm_keys {
-            eprintln!(
-                "lintcheck seed {seed}: IR left different cache entries than the tree walker"
-            );
-            report.ir_violations += 1;
+    let recorder = Arc::new(RecordingCache::default());
+    let runs = [
+        ("no", exec(None)),
+        ("cold", exec(Some(Arc::clone(&recorder)))),
+        ("warm", exec(Some(recorder))),
+    ];
+    for (state, run) in &runs[1..] {
+        let agree = match (&runs[0].1, run) {
+            (Ok(a), Ok(b)) => a == b,
+            (a, b) => a.is_err() && b.is_err(),
+        };
+        if !agree {
+            eprintln!("lintcheck seed {seed}: {state} cache diverged from the uncached run");
+            report.cache_violations += 1;
             return;
         }
-    }
-
-    // Warm: each engine replays over the cache its own cold run populated.
-    let walk_warm = walk_exec(Some(walk_cache as Arc<dyn MatchCache>));
-    let vm_warm = vm_exec(Some(vm_cache as Arc<dyn MatchCache>));
-    if diverged(&walk_warm, &vm_warm) {
-        eprintln!("lintcheck seed {seed}: IR output diverged from the tree walker (warm cache)");
-        report.ir_violations += 1;
     }
 }
 
@@ -426,7 +380,7 @@ mod tests {
         assert!(report.clean(), "oracle found violations:\n{}", report.render(0.0005, 23));
         assert_eq!(report.plans, 40);
         assert!(report.wrappers > 0, "generator produced only bare selects");
-        assert!(report.ir_programs > 0, "no plan was ever lowered to IR");
+        assert_eq!(report.cache_plans, 40, "every plan replays through the match cache");
     }
 
     #[test]
@@ -454,8 +408,8 @@ mod tests {
         let doc = report.to_json(0.01, 9);
         assert!(doc.contains("\"experiment\":\"lintcheck\""));
         assert!(doc.contains("\"plans\":3"));
-        assert!(doc.contains("\"ir_programs\":"));
-        assert!(doc.contains("\"ir_violations\":0"));
+        assert!(doc.contains("\"cache_plans\":"));
+        assert!(doc.contains("\"cache_violations\":0"));
         assert!(doc.contains("\"clean\":true"));
         assert!(report.clean());
     }

@@ -225,15 +225,6 @@ fn split_words(s: &str, n: usize) -> (Vec<&str>, &str) {
 
 /// Comma-joins `items`, or renders `(none)` for an empty sequence —
 /// keeps the `.explain` report's footprint lines readable.
-fn join_or_none(items: impl Iterator<Item = String>) -> String {
-    let joined: Vec<String> = items.collect();
-    if joined.is_empty() {
-        "(none)".to_string()
-    } else {
-        joined.join(", ")
-    }
-}
-
 fn parse_engine(s: &str) -> Engine {
     match s.to_ascii_lowercase().as_str() {
         "opt" => Engine::TlcOpt,
@@ -472,81 +463,15 @@ impl Shell {
     }
 
     /// Prints the static analysis report for `query` — typed plan, read
-    /// footprint, liveness-pruning outcome, lint warnings, and the
-    /// register-IR listing — without executing it. Mirrors the server's
-    /// `.explain <query>` report.
+    /// footprint, liveness-pruning outcome and lint warnings — without
+    /// executing it: the server's `.explain <query>` report
+    /// ([`service::explain`]).
     fn explain_query(&self, query: &str) {
-        if self.engine == Engine::Nav {
-            println!("error: NAV is interpreted per request; nothing to explain");
-            return;
-        }
-        let db = self.db();
-        let plan = match baselines::plan_for(self.engine, query, &db) {
-            Ok(plan) => plan,
-            Err(e) => {
-                println!("error: {e}");
-                return;
-            }
-        };
-        let t = match tlc::analyze(&plan) {
-            Ok(t) => t,
-            Err(e) => {
-                println!("error: {}", tlc::Error::Analyze(e));
-                return;
-            }
-        };
-        let fp = tlc::plan_footprint(&plan);
-        let (pruned, report) = tlc::prune_with_report(&plan);
-        let lints = tlc::lint(&plan, &db);
-        let interner = db.interner();
-        println!("== plan ({} operator(s), engine {:?}) ==", plan.operator_count(), self.engine);
-        print!("{}", plan.display(Some(&db)));
-        let classes: Vec<String> = t.classes.iter().map(|(l, c)| format!("{l}:{c:?}")).collect();
-        println!("== type ==");
-        println!(
-            "classes: {}",
-            if classes.is_empty() { "(none)".to_string() } else { classes.join(" ") }
-        );
-        println!("root: {}", t.root.map_or_else(|| "(none)".to_string(), |r| r.to_string()));
-        println!("order: {:?}", t.order);
-        println!("== footprint ==");
-        println!("docs: {}", join_or_none(fp.docs.iter().cloned()));
-        for (doc, tags) in &fp.doc_tags {
-            let names = join_or_none(tags.iter().map(|&t| interner.name(t).to_string()));
-            println!("tags[{doc}]: {names}");
-        }
-        println!(
-            "steps: {} child, {} descendant; {} value predicate(s)",
-            fp.child_steps,
-            fp.descendant_steps,
-            fp.preds.len()
-        );
-        println!("== liveness ==");
-        if report.changed() {
-            println!(
-                "pruned: {} DupElim(s) removed, {} select(s) eliminated, {} star subtree(s) dropped, {} dead Project column(s)",
-                report.dupelims_removed,
-                report.selects_eliminated,
-                report.star_subtrees_pruned,
-                report.dead_project_columns.len()
-            );
-            println!("pruned plan:");
-            print!("{}", pruned.display(Some(&db)));
-        } else {
-            println!("nothing to prune");
-        }
-        println!("== lints ==");
-        if lints.is_empty() {
-            println!("no warnings");
-        } else {
-            for l in &lints {
-                println!("{l}");
-            }
-        }
-        println!("== ir ==");
-        match tlc::vm::lower(&plan) {
-            Ok(prog) => print!("{}", prog.display(Some(&db))),
-            Err(e) => println!("not lowered ({e}); this plan executes on the tree walker"),
+        match service::explain(self.engine, &self.db(), query) {
+            Ok(report) => print!("{}", report.text),
+            Err(service::ServiceError::Compile(e)) => println!("error: {e}"),
+            Err(service::ServiceError::Unsupported(m)) => println!("error: {m}"),
+            Err(e) => println!("error: {e}"),
         }
     }
 

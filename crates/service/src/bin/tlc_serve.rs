@@ -92,8 +92,6 @@ const USAGE: &str = "usage: tlc-serve [OPTIONS]
   --cache N         plan cache capacity in entries
   --match-cache-mb N  pattern-match cache byte budget in MiB (0 disables;
                     default 32)
-  --ir on|off       execute cached plans through the register-IR backend
-                    (lowered once per plan, byte-identical output; default on)
   --deadline-ms N   default per-request wall-clock budget
   --client-wait-ms N  max time a connection waits for a reply before
                     abandoning it (default: wait forever)
@@ -158,13 +156,6 @@ fn parse_args() -> Result<Options, String> {
                     .parse()
                     .map_err(|e| format!("--match-cache-mb: {e}"))?;
                 opts.config.match_cache_bytes = mb << 20;
-            }
-            "--ir" => {
-                opts.config.ir = match value("--ir")?.as_str() {
-                    "on" | "true" | "1" => true,
-                    "off" | "false" | "0" => false,
-                    other => return Err(format!("--ir wants on|off, got {other:?}")),
-                }
             }
             "--deadline-ms" => {
                 let ms: u64 =

@@ -34,7 +34,7 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Collapses whitespace runs to single spaces and trims the ends — the
 /// cache-key canonicalization.
@@ -78,32 +78,24 @@ pub fn db_prefix(db: &str) -> String {
     format!("{db}\u{1}")
 }
 
-/// A plan-cache value: the compiled, verified plan plus its lazily-lowered
-/// register program (see [`tlc::vm`]) and lazily-computed carry set.
+/// A plan-cache value: the compiled, verified plan plus its
+/// lazily-computed carry set.
 ///
-/// The program is compiled at most once per cache entry — i.e. once per
-/// `(database, epoch, normalized text)` — on the first request that
-/// executes the entry with the IR backend enabled, and shared by every
-/// later request through the `Arc`. Because the whole `CachedPlan` is the
-/// `Arc`ed cache value, an entry carried across an update epoch (the
-/// footprint-disjointness carry in [`crate::Service::apply_update`])
-/// brings its compiled program along for free. A plan the lowerer rejects
-/// records `None` once and the service falls back to the tree walker for
-/// that entry without retrying per request. The carry set follows the same
-/// once-per-entry rule: the first commit that sees the entry computes it,
-/// and every later commit the entry is carried through reuses it.
+/// The carry set is computed at most once per cache entry: the first
+/// commit that sees the entry computes it, and every later commit the
+/// entry is carried through (the footprint-disjointness carry in
+/// [`crate::Service::apply_update`]) reuses it, since the whole
+/// `CachedPlan` is the `Arc`ed cache value.
 #[derive(Debug)]
 pub struct CachedPlan {
     plan: Arc<tlc::Plan>,
-    program: OnceLock<Option<Arc<tlc::vm::Program>>>,
     carry: OnceLock<CarrySet>,
 }
 
 impl CachedPlan {
-    /// Wraps a freshly compiled plan; the program is lowered, and the
-    /// carry set computed, on demand.
+    /// Wraps a freshly compiled plan; the carry set is computed on demand.
     pub fn new(plan: Arc<tlc::Plan>) -> CachedPlan {
-        CachedPlan { plan, program: OnceLock::new(), carry: OnceLock::new() }
+        CachedPlan { plan, carry: OnceLock::new() }
     }
 
     /// The plan's [`CarrySet`], computing it on first call. The flag is
@@ -123,20 +115,11 @@ impl CachedPlan {
         &self.plan
     }
 
-    /// The lowered register program, compiling it on first call (`None`
-    /// when the lowerer declined the plan). The second component is the
-    /// time *this* call spent compiling — `Some` exactly when this call
-    /// performed the one-time lowering, so the caller can record the
-    /// compile in its metrics without double counting.
+    /// Compatibility accessor from the removed register-IR backend: always
+    /// `(None, None)` — no program, no compile time — so callers take their
+    /// tree-walker branch.
     pub fn program(&self) -> (Option<Arc<tlc::vm::Program>>, Option<Duration>) {
-        let mut compile_time = None;
-        let program = self.program.get_or_init(|| {
-            let started = Instant::now();
-            let compiled = tlc::vm::lower(&self.plan).ok().map(Arc::new);
-            compile_time = Some(started.elapsed());
-            compiled
-        });
-        (program.clone(), compile_time)
+        (None, None)
     }
 }
 
@@ -173,8 +156,7 @@ impl CarrySet {
     /// `affected_tags` and renumbered `renumbered` pre-existing nodes.
     ///
     /// A plan survives when its footprint is disjoint from the mutation:
-    /// plans (and their lowered programs) bind tag ids and document names,
-    /// never node ordinals. Match entries additionally embed node ordinals,
+    /// plans bind tag ids and document names, never node ordinals. Match entries additionally embed node ordinals,
     /// so a chain entry survives only if its chain never reads `doc`, or
     /// the mutation renumbered nothing and the chain's footprint is
     /// disjoint from it. Every chain's footprint is a subset of the plan's,

@@ -115,14 +115,6 @@ pub struct ServiceConfig {
     /// disables the cache entirely — every request then re-runs its
     /// structural matches, which is the right baseline for benchmarking.
     pub match_cache_bytes: usize,
-    /// Execute cached plans through the register-IR backend ([`tlc::vm`]):
-    /// each plan-cache entry is lowered once into a verified
-    /// [`tlc::vm::Program`] (fused operator spines, compiled match-cache
-    /// probes) and every execution replays it, byte-identical to the tree
-    /// walker. `false` forces the tree-walking executor — the comparison
-    /// baseline for benchmarking. Plans the lowerer declines fall back to
-    /// the tree walk either way.
-    pub ir: bool,
 }
 
 impl Default for ServiceConfig {
@@ -136,7 +128,6 @@ impl Default for ServiceConfig {
             default_deadline: None,
             client_wait: None,
             match_cache_bytes: 32 << 20,
-            ir: true,
         }
     }
 }
@@ -339,7 +330,6 @@ pub struct UpdateOutcome {
 pub struct Service {
     catalog: Catalog,
     engine: Engine,
-    ir: bool,
     cache: Mutex<LruCache<CachedPlan>>,
     matches: Option<Arc<cache::MatchStore>>,
     metrics: Metrics,
@@ -364,7 +354,6 @@ impl Service {
         Service {
             catalog,
             engine: config.engine,
-            ir: config.ir,
             cache: Mutex::new(LruCache::new(config.plan_cache_capacity)),
             matches,
             metrics: Metrics::new(),
@@ -557,8 +546,7 @@ impl Service {
                 keys.extend(decision.chains.iter().map(|k| k.to_string()));
                 if decision.plan {
                     // Re-seeding the same `Arc<CachedPlan>` carries the
-                    // lazily-lowered IR program and the carry set across
-                    // the epoch for free.
+                    // carry set across the epoch for free.
                     let text = &key[old_prefix.len()..];
                     plans.insert(&format!("{new_prefix}{text}"), Arc::clone(&cached));
                     plans_seeded += 1;
@@ -600,92 +588,19 @@ impl Service {
         self.catalog.resolve(db).map_err(ServiceError::Catalog)
     }
 
-    /// Compiles `query` against `db` and renders the static-analysis view
-    /// (`.explain` in the wire protocol): the compiled plan, its inferred
-    /// type (per-class cardinalities, root, order), its read-effect
-    /// footprint, what class-liveness pruning removes, and every lint
-    /// warning. The plan cache is bypassed so the report always describes
-    /// the *unpruned* translation of what the user wrote.
+    /// Compiles `query` against database `db` and renders its
+    /// static-analysis report ([`explain`], `.explain` in the wire
+    /// protocol), recording the prune and lint counts in the metrics.
     pub fn explain(&self, db: &str, query: &str) -> Result<String, ServiceError> {
-        if self.engine == Engine::Nav {
-            return Err(ServiceError::Unsupported(
-                "NAV is interpreted per request; nothing to explain".into(),
-            ));
-        }
         let entry = self.entry(db)?;
-        let database = entry.database();
-        let plan =
-            baselines::plan_for(self.engine, query, database).map_err(ServiceError::Compile)?;
-        let t = tlc::analyze(&plan).map_err(|e| ServiceError::Compile(tlc::Error::Analyze(e)))?;
-        let fp = tlc::plan_footprint(&plan);
-        let (pruned, report) = tlc::prune_with_report(&plan);
-        let lints = tlc::lint(&plan, database);
+        let report = explain(self.engine, entry.database(), query)?;
         self.metrics.record_analysis(
             entry.name(),
-            report.changed(),
-            report.ops_eliminated() as u64,
-            lints.len() as u64,
+            report.pruned,
+            report.ops_eliminated,
+            report.lints,
         );
-        let interner = database.interner();
-        let mut out = String::new();
-        out.push_str(&format!(
-            "== plan ({} operator(s), engine {:?}) ==\n{}",
-            plan.operator_count(),
-            self.engine,
-            plan.display(Some(database))
-        ));
-        let classes: Vec<String> = t.classes.iter().map(|(l, c)| format!("{l}:{c:?}")).collect();
-        out.push_str(&format!(
-            "== type ==\nclasses: {}\nroot: {}\norder: {:?}\n",
-            if classes.is_empty() { "(none)".to_string() } else { classes.join(" ") },
-            t.root.map_or_else(|| "(none)".to_string(), |r| r.to_string()),
-            t.order
-        ));
-        out.push_str("== footprint ==\n");
-        out.push_str(&format!("docs: {}\n", join_or_none(fp.docs.iter().cloned())));
-        for (doc, tags) in &fp.doc_tags {
-            let names = join_or_none(tags.iter().map(|&t| interner.name(t).to_string()));
-            out.push_str(&format!("tags[{doc}]: {names}\n"));
-        }
-        out.push_str(&format!(
-            "steps: {} child, {} descendant; {} value predicate(s)\n",
-            fp.child_steps,
-            fp.descendant_steps,
-            fp.preds.len()
-        ));
-        out.push_str("== liveness ==\n");
-        if report.changed() {
-            out.push_str(&format!(
-                "pruned: {} DupElim(s) removed, {} select(s) eliminated, {} star subtree(s) dropped, {} dead Project column(s)\n",
-                report.dupelims_removed,
-                report.selects_eliminated,
-                report.star_subtrees_pruned,
-                report.dead_project_columns.len()
-            ));
-            out.push_str(&format!("pruned plan:\n{}", pruned.display(Some(database))));
-        } else {
-            out.push_str("nothing to prune\n");
-        }
-        out.push_str("== lints ==\n");
-        if lints.is_empty() {
-            out.push_str("no warnings\n");
-        } else {
-            for l in &lints {
-                out.push_str(&format!("{l}\n"));
-            }
-        }
-        out.push_str("== ir ==\n");
-        if !self.ir {
-            out.push_str("ir backend disabled; this plan executes on the tree walker\n");
-        } else {
-            match tlc::vm::lower(&plan) {
-                Ok(prog) => out.push_str(&prog.display(Some(database))),
-                Err(e) => out.push_str(&format!(
-                    "not lowered ({e}); this plan executes on the tree walker\n"
-                )),
-            }
-        }
-        Ok(out)
+        Ok(report.text)
     }
 
     /// The configured engine.
@@ -751,10 +666,6 @@ impl Service {
         let changed = report.changed() && tlc::analyze::verify(&pruned).is_ok();
         self.metrics.record_analysis(entry.name(), changed, report.ops_eliminated() as u64, lints);
         let plan = if changed { Arc::new(pruned) } else { plan };
-        // The cache entry couples the plan with its lazily-lowered IR
-        // program: whoever executes the entry first pays the one-time
-        // lowering, every later request (and every epoch the entry is
-        // carried into) reuses it through the shared Arc.
         let cached = Arc::new(CachedPlan::new(plan));
         let evictions = self.cache.lock().unwrap().insert(&key, Arc::clone(&cached));
         self.metrics.record_cache(entry.name(), false, evictions);
@@ -854,22 +765,6 @@ impl Service {
     ) -> Result<Response, ServiceError> {
         let db = Arc::clone(handle.entry.database());
         let plan = Arc::clone(handle.cached.plan());
-        // Resolve the IR program on the caller's thread: lowering happens
-        // at most once per cache entry ([`CachedPlan::program`]), and doing
-        // it here keeps the worker pool's throughput independent of
-        // compile spikes. `None` (IR off, or the lowerer declined the
-        // plan) falls back to the tree walker below.
-        let program = if self.ir {
-            let (program, compile_time) = handle.cached.program();
-            match compile_time {
-                Some(took) => self.metrics.record_ir_compile(took),
-                None if program.is_some() => self.metrics.record_ir_cache_hit(),
-                None => {}
-            }
-            program
-        } else {
-            None
-        };
         // The executor sees the match store through a view scoped to this
         // request's `(database, epoch)` — the scoping, not the executor,
         // is what makes serving across hot swaps impossible.
@@ -884,11 +779,7 @@ impl Service {
             let mut ctx = tlc::ExecCtx::new();
             ctx.deadline = deadline;
             ctx.cache = match_cache;
-            let result = match &program {
-                Some(prog) => tlc::vm::run(&db, prog, &mut ctx),
-                None => tlc::execute_with_ctx(&db, &plan, &mut ctx),
-            };
-            match result {
+            match tlc::execute_with_ctx(&db, &plan, &mut ctx) {
                 Ok(trees) => Ok((tlc::serialize_results(&db, &trees), ctx.stats)),
                 Err(tlc::Error::DeadlineExceeded) => Err(ServiceError::DeadlineExceeded),
                 Err(other) => Err(ServiceError::Execute(other)),
@@ -1023,6 +914,93 @@ impl Service {
     }
 }
 
+/// A static-analysis report, as `.explain` prints it, plus the counts the
+/// service records in its metrics.
+#[derive(Debug, Clone)]
+pub struct Explain {
+    /// The report text, one section per `== heading ==`.
+    pub text: String,
+    /// Class-liveness pruning would change the plan.
+    pub pruned: bool,
+    /// Operators pruning eliminates.
+    pub ops_eliminated: u64,
+    /// Lint warnings raised.
+    pub lints: u64,
+}
+
+/// Compiles `query` with `engine` against `db` and renders the
+/// static-analysis view shared by the service's and the shell's
+/// `.explain`: the compiled plan, its inferred type (per-class
+/// cardinalities, root, order), its read-effect footprint, what
+/// class-liveness pruning removes, and every lint warning. No plan cache is
+/// involved, so the report always describes the *unpruned* translation of
+/// what the user wrote.
+pub fn explain(engine: Engine, db: &Database, query: &str) -> Result<Explain, ServiceError> {
+    if engine == Engine::Nav {
+        return Err(ServiceError::Unsupported(
+            "NAV is interpreted per request; nothing to explain".into(),
+        ));
+    }
+    let plan = baselines::plan_for(engine, query, db).map_err(ServiceError::Compile)?;
+    let t = tlc::analyze(&plan).map_err(|e| ServiceError::Compile(tlc::Error::Analyze(e)))?;
+    let fp = tlc::plan_footprint(&plan);
+    let (pruned, report) = tlc::prune_with_report(&plan);
+    let lints = tlc::lint(&plan, db);
+    let interner = db.interner();
+    let mut out = String::new();
+    out.push_str(&format!(
+        "== plan ({} operator(s), engine {engine:?}) ==\n{}",
+        plan.operator_count(),
+        plan.display(Some(db))
+    ));
+    let classes: Vec<String> = t.classes.iter().map(|(l, c)| format!("{l}:{c:?}")).collect();
+    out.push_str(&format!(
+        "== type ==\nclasses: {}\nroot: {}\norder: {:?}\n",
+        if classes.is_empty() { "(none)".to_string() } else { classes.join(" ") },
+        t.root.map_or_else(|| "(none)".to_string(), |r| r.to_string()),
+        t.order
+    ));
+    out.push_str("== footprint ==\n");
+    out.push_str(&format!("docs: {}\n", join_or_none(fp.docs.iter().cloned())));
+    for (doc, tags) in &fp.doc_tags {
+        let names = join_or_none(tags.iter().map(|&t| interner.name(t).to_string()));
+        out.push_str(&format!("tags[{doc}]: {names}\n"));
+    }
+    out.push_str(&format!(
+        "steps: {} child, {} descendant; {} value predicate(s)\n",
+        fp.child_steps,
+        fp.descendant_steps,
+        fp.preds.len()
+    ));
+    out.push_str("== liveness ==\n");
+    if report.changed() {
+        out.push_str(&format!(
+            "pruned: {} DupElim(s) removed, {} select(s) eliminated, {} star subtree(s) dropped, {} dead Project column(s)\n",
+            report.dupelims_removed,
+            report.selects_eliminated,
+            report.star_subtrees_pruned,
+            report.dead_project_columns.len()
+        ));
+        out.push_str(&format!("pruned plan:\n{}", pruned.display(Some(db))));
+    } else {
+        out.push_str("nothing to prune\n");
+    }
+    out.push_str("== lints ==\n");
+    if lints.is_empty() {
+        out.push_str("no warnings\n");
+    } else {
+        for l in &lints {
+            out.push_str(&format!("{l}\n"));
+        }
+    }
+    Ok(Explain {
+        text: out,
+        pruned: report.changed(),
+        ops_eliminated: report.ops_eliminated() as u64,
+        lints: lints.len() as u64,
+    })
+}
+
 fn join_or_none(items: impl Iterator<Item = String>) -> String {
     let v: Vec<String> = items.collect();
     if v.is_empty() {
@@ -1045,7 +1023,6 @@ const _: () = {
     assert_send_sync::<Catalog>();
     assert_send_sync::<CatalogEntry>();
     assert_send_sync::<CachedPlan>();
-    assert_send_sync::<tlc::vm::Program>();
 };
 
 #[cfg(test)]
@@ -1406,36 +1383,10 @@ mod tests {
     }
 
     #[test]
-    fn ir_backend_serves_byte_identically_and_compiles_once() {
-        let svc = tiny_service(ServiceConfig::default());
-        let direct = baselines::run(Engine::Tlc, Q, &svc.database()).unwrap();
-        let cold = svc.execute(Q).unwrap();
-        let warm = svc.execute(Q).unwrap();
-        assert_eq!(cold.output, direct);
-        assert_eq!(warm.output, direct);
-        let snap = svc.metrics_snapshot();
-        assert_eq!(snap.ir_compiles, 1, "one lowering per cache entry");
-        assert!(snap.ir_cache_hits >= 1, "repeat must reuse the program");
-        assert_eq!(snap.ir_compile.count(), 1);
-        assert!(svc.metrics_report().contains("ir: 1 program(s) compiled"));
-    }
-
-    #[test]
-    fn ir_off_forces_the_tree_walker() {
-        let on = tiny_service(ServiceConfig::default());
-        let off = tiny_service(ServiceConfig { ir: false, ..Default::default() });
-        assert_eq!(on.execute(Q).unwrap().output, off.execute(Q).unwrap().output);
-        let snap = off.metrics_snapshot();
-        assert_eq!((snap.ir_compiles, snap.ir_cache_hits), (0, 0));
-        assert!(!off.metrics_report().contains("ir:"), "no IR line without IR traffic");
-    }
-
-    #[test]
-    fn ir_program_rides_plan_carry_across_update_epochs() {
+    fn cached_plan_rides_carry_across_update_epochs() {
         let svc = tiny_service(ServiceConfig::default());
         const QB: &str = r#"FOR $i IN document("auction.xml")//item RETURN $i/location"#;
         svc.execute(QB).unwrap();
-        assert_eq!(svc.metrics_snapshot().ir_compiles, 1);
         let person = svc.database().nodes_with_tag("person")[0];
         let op = UpdateOp::Insert {
             doc: "auction.xml".into(),
@@ -1448,21 +1399,6 @@ mod tests {
         assert!(warm.cache_hit);
         assert_eq!(warm.db_epoch, 1);
         assert_eq!(warm.output, baselines::run(Engine::Tlc, QB, &svc.database()).unwrap());
-        let snap = svc.metrics_snapshot();
-        assert_eq!(snap.ir_compiles, 1, "carried entry must not re-lower");
-        assert!(snap.ir_cache_hits >= 1, "post-update execution reuses the carried program");
-    }
-
-    #[test]
-    fn explain_renders_the_ir_section() {
-        let svc = tiny_service(ServiceConfig::default());
-        let report = svc.explain(DEFAULT_DB, Q).unwrap();
-        assert!(report.contains("== ir =="), "{report}");
-        assert!(report.contains("program:"), "{report}");
-        assert!(report.contains("registers:"), "{report}");
-        let off = tiny_service(ServiceConfig { ir: false, ..Default::default() });
-        let report = off.explain(DEFAULT_DB, Q).unwrap();
-        assert!(report.contains("ir backend disabled"), "{report}");
     }
 
     #[test]
@@ -1498,7 +1434,6 @@ mod tests {
         let svc = Arc::new(tiny_service(ServiceConfig {
             workers: 2,
             queue_depth: 32,
-            ir: false,
             ..Default::default()
         }));
         let mut snapshots: Vec<(u64, Arc<Database>)> = vec![(0, svc.database())];

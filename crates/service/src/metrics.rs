@@ -182,9 +182,6 @@ struct Inner {
     cache_hits: u64,
     cache_misses: u64,
     cache_evictions: u64,
-    ir_compiles: u64,
-    ir_cache_hits: u64,
-    ir_compile: Histogram,
     commit: Histogram,
 }
 
@@ -303,21 +300,6 @@ impl Metrics {
         entry.carry_sets_computed += carry_sets_computed;
     }
 
-    /// Records one IR lowering: a cached plan was compiled into a
-    /// [`tlc::vm::Program`] (this happens at most once per plan-cache
-    /// entry), taking `took` of the requesting caller's wall clock.
-    pub fn record_ir_compile(&self, took: Duration) {
-        let mut m = self.inner.lock().unwrap();
-        m.ir_compiles += 1;
-        m.ir_compile.record(took);
-    }
-
-    /// Records one request that reused an already-lowered program instead
-    /// of compiling (the IR analogue of a plan-cache hit).
-    pub fn record_ir_cache_hit(&self) {
-        self.inner.lock().unwrap().ir_cache_hits += 1;
-    }
-
     /// Records one compile-time analysis of a plan bound to `db`: whether
     /// the liveness pass pruned it, how many operators the pruning removed,
     /// and how many lint warnings the plan carries.
@@ -348,9 +330,6 @@ impl Metrics {
             cache_hits: m.cache_hits,
             cache_misses: m.cache_misses,
             cache_evictions: m.cache_evictions,
-            ir_compiles: m.ir_compiles,
-            ir_cache_hits: m.ir_cache_hits,
-            ir_compile: m.ir_compile.clone(),
             commit: m.commit.clone(),
             per_db,
         }
@@ -426,17 +405,6 @@ impl Metrics {
             "executor match cache: {} hits / {} misses\n",
             e.match_cache_hits, e.match_cache_misses
         ));
-        if m.ir_compiles > 0 || m.ir_cache_hits > 0 {
-            out.push_str(&format!(
-                "ir: {} program(s) compiled, {} compiled-program reuse(s), compile count={} mean={:?} p95={:?} max={:?}\n",
-                m.ir_compiles,
-                m.ir_cache_hits,
-                m.ir_compile.count(),
-                m.ir_compile.mean(),
-                m.ir_compile.quantile(0.95),
-                m.ir_compile.max()
-            ));
-        }
         if m.commit.count() > 0 {
             out.push_str(&format!(
                 "commits: count={} mean={:?} p50={:?} p95={:?} max={:?}\n",
@@ -507,13 +475,6 @@ pub struct Snapshot {
     pub cache_misses: u64,
     /// Plan-cache evictions.
     pub cache_evictions: u64,
-    /// Plans lowered into register-IR programs (at most once per
-    /// plan-cache entry).
-    pub ir_compiles: u64,
-    /// Requests that reused an already-lowered program.
-    pub ir_cache_hits: u64,
-    /// Per-lowering compile-time histogram.
-    pub ir_compile: Histogram,
     /// Per-commit wall time of [`crate::Service::apply_update`].
     pub commit: Histogram,
     /// Per-database counters, sorted by database name.
@@ -651,19 +612,6 @@ mod tests {
             ),
             "{r}"
         );
-    }
-
-    #[test]
-    fn ir_counters_only_report_when_nonzero() {
-        let m = Metrics::new();
-        assert!(!m.report().contains("ir:"), "no IR activity recorded yet");
-        m.record_ir_compile(Duration::from_micros(40));
-        m.record_ir_cache_hit();
-        m.record_ir_cache_hit();
-        let s = m.snapshot();
-        assert_eq!((s.ir_compiles, s.ir_cache_hits, s.ir_compile.count()), (1, 2, 1));
-        let r = m.report();
-        assert!(r.contains("ir: 1 program(s) compiled, 2 compiled-program reuse(s)"), "{r}");
     }
 
     #[test]

@@ -24,9 +24,8 @@
 //! * `.explain <query>` — compile the query (raw rest of the line)
 //!   against the session's current database without executing it and
 //!   report the static-analysis view: the typed plan, its read-effect
-//!   footprint, what class-liveness pruning removes, lint warnings, and
-//!   the register-IR listing the plan lowers to (`== ir ==`; see
-//!   [`crate::Service::explain`]);
+//!   footprint, what class-liveness pruning removes, and lint warnings
+//!   (see [`crate::explain`]);
 //! * `.catalog` — list the registered databases;
 //! * `.metrics` — the service's text metrics report;
 //! * `.quit` — close this connection.
@@ -648,7 +647,8 @@ mod tests {
             Frame::Ok(m) => {
                 assert!(m.contains("== plan"), "{m}");
                 assert!(m.contains("== footprint =="), "{m}");
-                assert!(m.contains("== ir =="), "{m}");
+                assert!(m.contains("== liveness =="), "{m}");
+                assert!(m.contains("== lints =="), "{m}");
                 assert!(m.contains("warning[empty-select]"), "{m}");
                 assert!(m.contains("statically empty"), "{m}");
             }

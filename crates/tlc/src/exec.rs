@@ -31,8 +31,8 @@ pub trait MatchCache: Send + Sync {
 /// pattern matches. Power of two so the check is a mask.
 const DEADLINE_TICK_PERIOD: u32 = 1024;
 
-/// Execution context: temporary-id generator, counters, deadline and match
-/// cache.
+/// Execution context: temporary-id generator, counters, deadline, match
+/// cache and an optional per-operator observer.
 #[derive(Default)]
 pub struct ExecCtx {
     /// Temporary node identifier source (paper §5.1, Property 4).
@@ -47,6 +47,13 @@ pub struct ExecCtx {
     pub deadline: Option<Instant>,
     /// Optional pattern-match cache consulted for Select/Filter chains.
     pub cache: Option<Arc<dyn MatchCache>>,
+    /// Per-operator observer: when set ([`ExecCtx::with_trace`]), every
+    /// operator the executor evaluates appends one [`OpTrace`] in plan
+    /// order. Entries hold inclusive times until [`ExecCtx::take_trace`]
+    /// derives own times from them.
+    trace: Option<Vec<OpTrace>>,
+    /// Plan depth of the operator being evaluated (tracing only).
+    depth: usize,
     ticks: u32,
 }
 
@@ -57,6 +64,7 @@ impl fmt::Debug for ExecCtx {
             .field("stats", &self.stats)
             .field("deadline", &self.deadline)
             .field("cache", &self.cache.is_some())
+            .field("trace", &self.trace.as_ref().map(Vec::len))
             .field("ticks", &self.ticks)
             .finish()
     }
@@ -77,6 +85,35 @@ impl ExecCtx {
     pub fn with_cache(mut self, cache: Arc<dyn MatchCache>) -> Self {
         self.cache = Some(cache);
         self
+    }
+
+    /// Turns on the per-operator observer (builder style): the run records
+    /// each operator's label, depth, output size and time, and
+    /// [`ExecCtx::take_trace`] hands the entries back.
+    pub fn with_trace(mut self) -> Self {
+        self.trace = Some(Vec::new());
+        self
+    }
+
+    /// Takes the recorded trace (`None` when the observer is off), in plan
+    /// order, each entry's own time derived from the inclusive times of
+    /// its direct children. An operator answered from the match cache
+    /// carries the [`CACHE_HIT_MARK`] suffix and has no children recorded.
+    pub fn take_trace(&mut self) -> Option<Vec<OpTrace>> {
+        let mut ops = self.trace.take()?;
+        // Forward pass: entry `i`'s children still hold inclusive times
+        // when `i` is visited, since they all come after it.
+        for i in 0..ops.len() {
+            let depth = ops[i].depth;
+            let children: Duration = ops[i + 1..]
+                .iter()
+                .take_while(|t| t.depth > depth)
+                .filter(|t| t.depth == depth + 1)
+                .map(|t| t.own_time)
+                .sum();
+            ops[i].own_time = ops[i].own_time.saturating_sub(children);
+        }
+        Some(ops)
     }
 
     /// Deadline check at an operator boundary. Free when no deadline is
@@ -346,6 +383,10 @@ fn contains(plan: &Plan, pred: &mut impl FnMut(&Plan) -> bool) -> bool {
     pred(plan) || plan.inputs().into_iter().any(|i| contains(i, pred))
 }
 
+/// Suffix a traced operator's label carries when the match cache answered
+/// it (its inputs then never ran, so they have no entries of their own).
+pub const CACHE_HIT_MARK: &str = " [match-cache hit]";
+
 /// One operator's measurements from a traced execution.
 #[derive(Debug, Clone)]
 pub struct OpTrace {
@@ -361,14 +402,16 @@ pub struct OpTrace {
 
 /// Executes a plan recording per-operator timings and output cardinalities —
 /// an "EXPLAIN ANALYZE" for TLC plans. Entries are in plan order (root
-/// first, inputs following, like [`Plan::display`]).
+/// first, inputs following, like [`Plan::display`]). This is the plain
+/// executor with its observer on ([`ExecCtx::with_trace`]); attach a match
+/// cache the same way to trace a cached run.
 pub fn execute_traced(
     db: &Database,
     plan: &Plan,
 ) -> Result<(Vec<ResultTree>, ExecStats, Vec<OpTrace>)> {
-    let mut ctx = ExecCtx::new();
-    let mut traces = Vec::new();
-    let (trees, _) = run_traced(db, plan, &mut ctx, 0, &mut traces)?;
+    let mut ctx = ExecCtx::new().with_trace();
+    let trees = run(db, plan, &mut ctx)?;
+    let traces = ctx.take_trace().unwrap_or_default();
     Ok((trees, ctx.stats, traces))
 }
 
@@ -414,124 +457,55 @@ fn op_label(plan: &Plan, db: &Database) -> String {
     }
 }
 
-/// Traced evaluation: returns (trees, total time including children).
-fn run_traced(
-    db: &Database,
-    plan: &Plan,
-    ctx: &mut ExecCtx,
-    depth: usize,
-    traces: &mut Vec<OpTrace>,
-) -> Result<(Vec<ResultTree>, Duration)> {
+/// Evaluates `plan`, recording it (and, through the recursion, its inputs)
+/// when the observer is on.
+fn run(db: &Database, plan: &Plan, ctx: &mut ExecCtx) -> Result<Vec<ResultTree>> {
     ctx.check_deadline()?;
-    let slot = traces.len();
-    traces.push(OpTrace {
+    let Some(trace) = ctx.trace.as_mut() else {
+        return run_cached(db, plan, ctx).map(|(trees, _)| trees);
+    };
+    let slot = trace.len();
+    trace.push(OpTrace {
         label: op_label(plan, db),
-        depth,
+        depth: ctx.depth,
         out_trees: 0,
         own_time: Duration::ZERO,
     });
+    ctx.depth += 1;
     let started = Instant::now();
-    let mut child_time = Duration::ZERO;
-    let eval_input = |p: &Plan,
-                      ctx: &mut ExecCtx,
-                      traces: &mut Vec<OpTrace>,
-                      child_time: &mut Duration|
-     -> Result<Vec<ResultTree>> {
-        let (trees, t) = run_traced(db, p, ctx, depth + 1, traces)?;
-        *child_time += t;
-        Ok(trees)
-    };
-    let trees = match plan {
-        Plan::Select { input, apt } => {
-            let inputs = match input {
-                Some(i) => eval_input(i, ctx, traces, &mut child_time)?,
-                None => Vec::new(),
-            };
-            ops::select(db, apt, inputs, ctx)?
+    let result = run_cached(db, plan, ctx);
+    ctx.depth -= 1;
+    let (trees, hit) = result?;
+    if let Some(op) = ctx.trace.as_mut().map(|t| &mut t[slot]) {
+        op.out_trees = trees.len();
+        op.own_time = started.elapsed();
+        if hit {
+            op.label.push_str(CACHE_HIT_MARK);
         }
-        Plan::Filter { input, lcl, pred, mode } => {
-            let inputs = eval_input(input, ctx, traces, &mut child_time)?;
-            ops::filter(db, inputs, *lcl, pred, *mode, &mut ctx.stats)
-        }
-        Plan::Join { left, right, spec } => {
-            let l = eval_input(left, ctx, traces, &mut child_time)?;
-            let r = eval_input(right, ctx, traces, &mut child_time)?;
-            ops::join(db, l, r, spec, &mut ctx.tmp, &mut ctx.stats)?
-        }
-        Plan::Project { input, keep } => {
-            let inputs = eval_input(input, ctx, traces, &mut child_time)?;
-            ops::project(inputs, keep, &mut ctx.stats)
-        }
-        Plan::DupElim { input, on, kind } => {
-            let inputs = eval_input(input, ctx, traces, &mut child_time)?;
-            ops::duplicate_elimination(db, inputs, on, *kind, &mut ctx.stats)?
-        }
-        Plan::Aggregate { input, func, over, new_lcl } => {
-            let inputs = eval_input(input, ctx, traces, &mut child_time)?;
-            ops::aggregate(db, inputs, *func, *over, *new_lcl, &mut ctx.tmp, &mut ctx.stats)
-        }
-        Plan::Construct { input, spec } => {
-            let inputs = eval_input(input, ctx, traces, &mut child_time)?;
-            ops::construct(db, inputs, spec, &mut ctx.tmp, &mut ctx.stats)?
-        }
-        Plan::Sort { input, keys } => {
-            let inputs = eval_input(input, ctx, traces, &mut child_time)?;
-            ops::sort_by_keys(db, inputs, keys)
-        }
-        Plan::Flatten { input, parent, child } => {
-            let inputs = eval_input(input, ctx, traces, &mut child_time)?;
-            ops::flatten(inputs, *parent, *child, &mut ctx.stats)?
-        }
-        Plan::Shadow { input, parent, child } => {
-            let inputs = eval_input(input, ctx, traces, &mut child_time)?;
-            ops::shadow(inputs, *parent, *child, &mut ctx.stats)?
-        }
-        Plan::Illuminate { input, lcl } => {
-            let inputs = eval_input(input, ctx, traces, &mut child_time)?;
-            ops::illuminate(inputs, *lcl, &mut ctx.stats)
-        }
-        Plan::GroupBy { input, by, collect } => {
-            let inputs = eval_input(input, ctx, traces, &mut child_time)?;
-            ops::grouping_procedure(db, inputs, *by, *collect, &mut ctx.stats)?
-        }
-        Plan::Materialize { input, lcls } => {
-            let inputs = eval_input(input, ctx, traces, &mut child_time)?;
-            ops::materialize(db, inputs, lcls, &mut ctx.stats)
-        }
-        Plan::Union { inputs, dedup_on } => {
-            let mut branches = Vec::with_capacity(inputs.len());
-            for p in inputs {
-                branches.push(eval_input(p, ctx, traces, &mut child_time)?);
-            }
-            ops::union_all(db, branches, dedup_on, &mut ctx.stats)?
-        }
-    };
-    let total = started.elapsed();
-    traces[slot].out_trees = trees.len();
-    traces[slot].own_time = total.saturating_sub(child_time);
-    Ok((trees, total))
+    }
+    Ok(trees)
 }
 
-fn run(db: &Database, plan: &Plan, ctx: &mut ExecCtx) -> Result<Vec<ResultTree>> {
-    ctx.check_deadline()?;
-    // Pattern-match chains (Select/Filter and the Project/DupElim glue
-    // between them) are pure functions of the database snapshot, so a
-    // match cache (when attached) can answer them without matching. The
-    // key covers the whole chain below this operator; on a miss the chain
-    // runs normally and each cacheable level populates its own entry.
+/// Pattern-match chains (Select/Filter and the Project/DupElim glue
+/// between them) are pure functions of the database snapshot, so a match
+/// cache (when attached) can answer them without matching. The key covers
+/// the whole chain below this operator; on a miss the chain runs normally
+/// and each cacheable level populates its own entry. The flag is `true`
+/// when the cache answered.
+fn run_cached(db: &Database, plan: &Plan, ctx: &mut ExecCtx) -> Result<(Vec<ResultTree>, bool)> {
     if let Some(cache) = ctx.cache.clone() {
         if let Some(key) = match_chain_key(plan) {
             if let Some(hit) = cache.get(&key) {
                 ctx.stats.match_cache_hits += 1;
-                return Ok(hit.as_ref().clone());
+                return Ok((hit.as_ref().clone(), true));
             }
             let trees = run_checked(db, plan, ctx)?;
             ctx.stats.match_cache_misses += 1;
             cache.put(&key, &trees);
-            return Ok(trees);
+            return Ok((trees, false));
         }
     }
-    run_checked(db, plan, ctx)
+    Ok((run_checked(db, plan, ctx)?, false))
 }
 
 /// Runs one operator and, in debug builds, checks the observed output
@@ -778,5 +752,20 @@ mod tests {
         assert!(traces.iter().any(|t| t.label.starts_with("Construct")));
         let table = render_trace(&traces);
         assert!(table.contains("operator"), "{table}");
+        assert!(ExecCtx::new().take_trace().is_none(), "observer is off by default");
+
+        // Traced over a warm match cache: same bytes, the hit is marked and
+        // the chain below it never ran.
+        let cache = Arc::new(MapCache::default());
+        execute_with_ctx(&db, &plan, &mut ExecCtx::new().with_cache(cache.clone())).unwrap();
+        let mut warm = ExecCtx::new().with_cache(cache).with_trace();
+        let got = execute_with_ctx(&db, &plan, &mut warm).unwrap();
+        assert_eq!(
+            crate::output::serialize_results(&db, &got),
+            crate::output::serialize_results(&db, &plain)
+        );
+        let traces = warm.take_trace().unwrap();
+        assert!(traces.len() < plan.operator_count(), "{traces:?}");
+        assert!(traces.iter().any(|t| t.label.ends_with(CACHE_HIT_MARK)), "{traces:?}");
     }
 }

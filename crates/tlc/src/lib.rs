@@ -21,7 +21,8 @@
 //!   redundancy-eliminating **Flatten / Shadow / Illuminate** (§4).
 //! * [`plan`], [`exec`] — logical plans and the set-at-a-time executor,
 //!   which runs one request on one thread through a lean
-//!   [`exec::ExecCtx`] (temp ids, counters, deadline, match cache).
+//!   [`exec::ExecCtx`] (temp ids, counters, deadline, match cache, and an
+//!   optional per-operator observer behind [`execute_traced`]).
 //! * [`mod@translate`] — the **XQuery → TLC** translation algorithm (Figure 6),
 //!   covering the Figure 5 fragment including nested FLWOR.
 //! * [`rewrite`] — the Flatten and Shadow/Illuminate rewrite rules (§4.2,
@@ -39,10 +40,9 @@
 //!   soundness oracle.
 //! * [`optimizer`] — a cost model over index statistics that decides when
 //!   the rewrites pay off (the decision the paper defers to an optimizer).
-//! * [`vm`] — the register-IR compiler and bytecode evaluator: verified
-//!   plans lower once into a flat, verified [`vm::Program`] (fused
-//!   Select/Filter spines, compiled match-cache probes) that replays the
-//!   tree walker byte-identically without per-operator dispatch.
+//! * [`vm`] — a compatibility stub of the removed register-IR backend
+//!   (an uninhabited [`vm::Program`]); the tree walker in [`exec`] is the
+//!   only executor, serving production, `.analyze` traces and the tests.
 //! * [`output`] — result serialization.
 //!
 //! ## Quick start
@@ -92,7 +92,7 @@ pub use error::{Error, Result};
 pub use exec::{
     check_conformance, execute, execute_to_string, execute_traced, execute_with_ctx,
     execute_with_deadline, match_chain_footprints, match_chain_key, match_chain_keys, render_trace,
-    ExecCtx, MatchCache, OpTrace,
+    ExecCtx, MatchCache, OpTrace, CACHE_HIT_MARK,
 };
 pub use generator::{random_plan, GenPlan};
 pub use lint::{lint, Lint, LintCode};

@@ -11,9 +11,9 @@
 #   usage: check_qps.sh BASELINE.json FRESH.json [TOLERANCE]
 #
 # Figures are matched positionally: every `"qps"` / `"read_qps"` field, in
-# document order (batch reports carry cached / uncached / tree-walk
-# sides; rw reports carry one read_qps per write fraction), so baseline
-# and fresh runs must use the same experiment configuration. The default
+# document order (batch reports carry cached / uncached sides; rw
+# reports carry one read_qps per write fraction), so baseline and fresh
+# runs must use the same experiment configuration. The default
 # tolerance of 0.5 guards against collapses — a regression that halves
 # throughput (or doubles allocations) — not run-to-run jitter; hardware
 # differences are expected to stay well inside it. Allocation counts are

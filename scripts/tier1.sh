@@ -49,17 +49,14 @@ echo "tier1: catalog smoke test passed"
 # reference on every answer and actually hit the match cache (the binary
 # exits non-zero on either defect); assert the nonzero hit rate in the
 # output too so a silent format change cannot mask it. The same run
-# replays identical traffic uncached and with the register-IR backend off
-# — the report must show a non-regressing IR QPS ratio — and reports the
-# counting allocator's allocations per request on the cached side
-# (check_qps.sh gates that figure against the baseline).
+# replays identical traffic uncached, and reports the counting
+# allocator's allocations per request on the cached side (check_qps.sh
+# gates that figure against the baseline).
 batch_out="$smoke_dir/batch.txt"
 ./target/release/experiments batch --factor 0.0005 --clients 4 --requests 40 \
     --json "$smoke_dir/batch.json" > "$batch_out" 2>/dev/null
 grep -q 'byte mismatches vs single-threaded reference: 0' "$batch_out"
 grep -Eq 'match cache hit rate: ([1-9][0-9]*\.[0-9]|0\.[1-9])%' "$batch_out"
-grep -q 'ir non-regression: ok' "$batch_out"
-grep -q '"ir_speedup":' "$smoke_dir/batch.json"
 grep -q 'heap allocs/request' "$batch_out"
 grep -q '"allocs_per_request":' "$smoke_dir/batch.json"
 echo "tier1: skewed-mix smoke test passed"
@@ -124,17 +121,17 @@ grep -q 'warning\[redundant-dupelim\]' "$explain_out"
 grep -q 'warning\[dead-project-column\]' "$explain_out"
 grep -q '== footprint ==' "$explain_out"
 grep -q '== liveness ==' "$explain_out"
-grep -q '== ir ==' "$explain_out"
 echo "tier1: explain/lint smoke test passed"
 
 # Differential soundness oracle: seeded random plans, every static claim
 # (cardinality, liveness-pruning byte-identity, empty-select lints,
-# footprint-based cache carry, register-IR vs tree-walk byte equality)
-# checked against execution. The binary exits non-zero on any violation.
+# footprint-based cache carry, match-cache transparency under no, cold
+# and warm caches) checked against execution. The binary exits non-zero
+# on any violation.
 lint_out="$smoke_dir/lintcheck.txt"
 ./target/release/experiments lintcheck --factor 0.0005 --plans 60 > "$lint_out" 2>/dev/null
 grep -q 'lintcheck clean' "$lint_out"
-grep -Eq 'register IR: [1-9][0-9]* program\(s\) lowered and replayed' "$lint_out"
+grep -Eq 'match cache: [1-9][0-9]* plan\(s\) replayed uncached, cold and warm' "$lint_out"
 echo "tier1: lintcheck oracle smoke test passed"
 
 # Throughput non-regression against the checked-in baselines: re-run the

@@ -5,9 +5,9 @@
 //! This is the strongest correctness check in the repository: the five
 //! evaluators share almost no code paths above the store (NAV shares none),
 //! so agreement on 23 queries over thousands of nodes is hard to achieve by
-//! accident. The register-IR backend rides the same harness: every plan is
-//! also lowered to a [`tlc::vm`] program and replayed with `--ir` on and
-//! off, byte-compared against the tree walk.
+//! accident. The query service rides the same harness: its cached path
+//! (plan cache and match cache, cold and warm) must answer every query
+//! byte-identically to the single-threaded reference.
 
 use baselines::Engine;
 use queries::{all_queries, run_query};
@@ -48,73 +48,33 @@ fn extended_workload_agrees_across_all_engines() {
     }
 }
 
-/// The register-IR backend ([`tlc::vm`]) against the tree walker, directly
-/// at the library layer: every workload query's plan — for both plan-based
-/// engines whose plans the lowerer accepts — is lowered to a program and
-/// executed on the bytecode evaluator, and the serialized output must be
-/// byte-identical to walking the same plan.
+/// The cached service path end to end: for both plan-based engines, the
+/// service's cold answer (plan compiled, match cache filled) and warm
+/// answer (plan and match entries served from the caches) to every
+/// workload query must equal the single-threaded reference.
 #[test]
-fn ir_backend_matches_the_tree_walker_on_the_full_workload() {
-    let db = xmark_db();
-    let mut programs = 0;
-    for q in all_queries() {
-        for engine in [Engine::Tlc, Engine::TlcOpt] {
-            let plan = baselines::plan_for(engine, q.text, &db)
-                .unwrap_or_else(|e| panic!("{} failed to plan {}: {e}", engine.name(), q.name));
-            let walked = baselines::run(engine, q.text, &db)
-                .unwrap_or_else(|e| panic!("{} failed on {}: {e}", engine.name(), q.name));
-            let prog = tlc::vm::lower(&plan).unwrap_or_else(|e| {
-                panic!("{} plan of {} failed to lower: {e}", engine.name(), q.name)
-            });
-            let mut ctx = tlc::ExecCtx::new();
-            let trees = tlc::vm::run(&db, &prog, &mut ctx)
-                .unwrap_or_else(|e| panic!("IR run of {} ({}) failed: {e}", q.name, engine.name()));
-            assert_eq!(
-                tlc::serialize_results(&db, &trees),
-                walked,
-                "IR diverged from the tree walker on {} ({})",
-                q.name,
-                engine.name()
-            );
-            programs += 1;
-        }
-    }
-    assert_eq!(programs, 2 * 23);
-}
-
-/// The same property end to end through the service: identical traffic
-/// against a `--ir on` service and a `--ir off` service must produce
-/// byte-identical answers on every workload query, and the IR side must
-/// actually have compiled programs.
-#[test]
-fn service_ir_on_and_off_agree_on_the_full_workload() {
+fn service_cold_and_warm_answers_match_the_reference() {
     let db = std::sync::Arc::new(xmark_db());
     for engine in [Engine::Tlc, Engine::TlcOpt] {
-        let on = service::Service::new(
+        let svc = service::Service::new(
             std::sync::Arc::clone(&db),
             service::ServiceConfig { engine, ..Default::default() },
         );
-        let off = service::Service::new(
-            std::sync::Arc::clone(&db),
-            service::ServiceConfig { engine, ir: false, ..Default::default() },
-        );
         for q in all_queries() {
-            let a = on
+            let reference = baselines::run(engine, q.text, &db)
+                .unwrap_or_else(|e| panic!("{} failed on {}: {e}", engine.name(), q.name));
+            let cold = svc
                 .execute(q.text)
-                .unwrap_or_else(|e| panic!("ir-on service failed {}: {e}", q.name));
-            let b = off
+                .unwrap_or_else(|e| panic!("cold service run failed {}: {e}", q.name));
+            let warm = svc
                 .execute(q.text)
-                .unwrap_or_else(|e| panic!("ir-off service failed {}: {e}", q.name));
-            assert_eq!(
-                a.output,
-                b.output,
-                "--ir on/off disagree on {} ({})",
-                q.name,
-                engine.name()
-            );
+                .unwrap_or_else(|e| panic!("warm service run failed {}: {e}", q.name));
+            assert!(!cold.cache_hit && warm.cache_hit, "{}: plan cache not exercised", q.name);
+            assert_eq!(cold.output, reference, "cold answer to {} ({})", q.name, engine.name());
+            assert_eq!(warm.output, reference, "warm answer to {} ({})", q.name, engine.name());
         }
-        assert!(on.metrics_snapshot().ir_compiles > 0, "ir-on service never lowered a plan");
-        assert_eq!(off.metrics_snapshot().ir_compiles, 0, "ir-off service lowered a plan");
+        let cache = svc.match_cache_stats().expect("match cache enabled by default");
+        assert!(cache.hits > 0, "{}: warm runs never hit the match cache", engine.name());
     }
 }
 

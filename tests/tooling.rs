@@ -51,10 +51,12 @@ fn snapshots_answer_queries_identically() {
 }
 
 /// Traced execution agrees with plain execution on the whole workload and
-/// accounts for every operator.
+/// accounts for every operator; a second traced run over a warm match
+/// cache answers the same bytes and shows its hits in the trace.
 #[test]
 fn traced_execution_covers_the_workload() {
     let db = xmark::auction_database(0.002);
+    let mut cached_hits = 0;
     for q in queries::all_queries() {
         let plan = baselines::plan_for(Engine::Tlc, q.text, &db).unwrap();
         let (plain, _) = tlc::execute(&db, &plan).unwrap();
@@ -67,6 +69,39 @@ fn traced_execution_covers_the_workload() {
         );
         assert_eq!(traces.len(), plan.operator_count(), "{}", q.name);
         assert_eq!(traces[0].out_trees, traced.len(), "{}: root trace reports the output", q.name);
+
+        let cache = std::sync::Arc::new(MapCache::default());
+        tlc::execute_with_ctx(&db, &plan, &mut tlc::ExecCtx::new().with_cache(cache.clone()))
+            .unwrap();
+        let mut warm = tlc::ExecCtx::new().with_cache(cache).with_trace();
+        let trees = tlc::execute_with_ctx(&db, &plan, &mut warm).unwrap();
+        assert_eq!(
+            tlc::serialize_results(&db, &trees),
+            tlc::serialize_results(&db, &plain),
+            "{}: warm traced run",
+            q.name
+        );
+        let traces = warm.take_trace().expect("observer was on");
+        let hits = traces.iter().filter(|t| t.label.ends_with(tlc::CACHE_HIT_MARK)).count();
+        assert_eq!(hits as u64, warm.stats.match_cache_hits, "{}: every hit is traced", q.name);
+        assert!(traces.len() <= plan.operator_count(), "{}", q.name);
+        cached_hits += hits;
+    }
+    assert!(cached_hits > 0, "no warm traced run was answered from the match cache");
+}
+
+/// A plain in-memory match cache.
+#[derive(Default)]
+struct MapCache {
+    map: std::sync::Mutex<std::collections::HashMap<String, std::sync::Arc<Vec<tlc::ResultTree>>>>,
+}
+
+impl tlc::MatchCache for MapCache {
+    fn get(&self, key: &str) -> Option<std::sync::Arc<Vec<tlc::ResultTree>>> {
+        self.map.lock().unwrap().get(key).cloned()
+    }
+    fn put(&self, key: &str, trees: &[tlc::ResultTree]) {
+        self.map.lock().unwrap().insert(key.to_string(), std::sync::Arc::new(trees.to_vec()));
     }
 }
 
