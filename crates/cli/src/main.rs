@@ -1,16 +1,19 @@
 //! `tlc-shell` — an interactive console for the TLC reproduction.
 //!
 //! ```text
-//! tlc-shell [--factor F | --load FILE.xml | --db FILE.tlcx]
-//!           [--engine tlc|opt|gtp|tax|nav]
+//! tlc-shell [--factor F | --load FILE] [--engine tlc|opt|costed|gtp|tax|nav]
 //! tlc-shell --connect HOST:PORT        # client for a running tlc-serve
 //! ```
+//!
+//! `--load` accepts a TLCX snapshot or an XML file (chosen by content, as
+//! `tlc-serve --load` and `.open` do); without it an XMark database is
+//! generated at `--factor` (default 0.01).
 //!
 //! Type a query (multi-line; finish with an empty line or `;`), or one of
 //! the commands:
 //!
 //! ```text
-//! .engine tlc|opt|costed|gtp|tax|nav  switch evaluator
+//! .engine tlc|opt|costed|gtp|tax|nav  switch the prompt's evaluator
 //! .explain [<query>]            toggle plan display, or print the static
 //!                               analysis report (type, footprint, liveness,
 //!                               lints) for one query without running it
@@ -18,297 +21,289 @@
 //! .analyze                      toggle per-operator timings
 //! .bench <name>                 run a Figure 15 workload query by name
 //! .queries                      list the workload queries
-//! .open <name> <file>           load a snapshot/XML as catalog database <name>
-//! .use <name>                   switch the shell to a catalog database
-//! .reload [<name>]              re-read a database's file and hot-swap it
-//! .drop <name>                  unregister a catalog database
-//! .catalog                      list the registered databases
 //! .check                        verify store invariants and indexes
-//! .insert <doc> <parent-ord> <xml>  append a parsed fragment under a node
-//! .delete <doc> <ord>           delete a subtree
-//! .settext <doc> <ord> [<text>] replace an element's text content
 //! .save <file.tlcx>             snapshot the current database to disk
-//! .serve <addr>                 share this database over TCP (tlc-serve protocol)
+//! .serve <addr>                 share the catalog over TCP (tlc-serve protocol)
 //! .help  .quit
 //! ```
 //!
-//! The startup database (generated, `--load`ed, or `--db` snapshot) is
-//! catalog entry `main`; queries and `.check`/`.save`/`.serve` act on
-//! whichever database the shell is currently `.use`-ing.
+//! The catalog and update commands — `.open .use .reload .drop .catalog
+//! .insert .delete .settext .metrics` — are the query service's own: the
+//! shell builds one in-process [`service::Service`] at startup and answers
+//! them through a [`service::protocol::Session`] on it, exactly as
+//! `tlc-serve` answers a connection. The startup database is catalog entry
+//! `main`. Queries evaluate locally on the session's current snapshot with
+//! the shell's engine (the single-threaded reference path), so `.engine`,
+//! `.explain`, `.stats` and `.analyze` apply to them. `.serve` shares that
+//! same service, served with the startup engine: the prompt and every
+//! connection see one catalog and each other's commits.
 //!
-//! With `--connect` the shell sends each query line to a `tlc-serve`
-//! process instead of evaluating locally; `.metrics` fetches the server's
-//! metrics report and the catalog commands drive the server's catalog.
+//! With `--connect` the same prompt sends every request to a `tlc-serve`
+//! process instead (a multi-line query is joined into one line) and prints
+//! its replies.
 
 use baselines::Engine;
-use service::catalog::{self, Catalog, DEFAULT_DB};
-use std::io::{BufRead, Write};
+use service::catalog::DEFAULT_DB;
+use service::protocol::{read_response, Frame, Session};
+use service::{Service, ServiceConfig};
+use std::io::{self, BufRead, Write};
+use std::net::TcpStream;
+use std::ops::ControlFlow;
 use std::sync::Arc;
-
-struct Shell {
-    catalog: Catalog,
-    current: String,
-    engine: Engine,
-    explain: bool,
-    stats: bool,
-    analyze: bool,
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(addr) = flag(&args, "--connect") {
-        std::process::exit(client(addr));
-    }
-    let engine = flag(&args, "--engine").map(parse_engine).unwrap_or(Engine::Tlc);
-    let db = if let Some(file) = flag(&args, "--db") {
-        match xmldb::load_file(std::path::Path::new(file)) {
-            Ok(db) => {
-                eprintln!("loaded snapshot {file}: {} nodes", db.node_count());
-                db
-            }
-            Err(e) => {
-                eprintln!("cannot load snapshot {file}: {e}");
-                std::process::exit(1);
-            }
-        }
-    } else if let Some(file) = flag(&args, "--load") {
-        let text = std::fs::read_to_string(file).unwrap_or_else(|e| {
-            eprintln!("cannot read {file}: {e}");
-            std::process::exit(1);
-        });
-        let mut db = xmldb::Database::new();
-        if let Err(e) = db.load_xml("auction.xml", &text) {
-            eprintln!("cannot parse {file}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("loaded {file} as document(\"auction.xml\"): {} nodes", db.node_count());
-        db
-    } else {
-        let factor: f64 = flag(&args, "--factor").and_then(|f| f.parse().ok()).unwrap_or(0.01);
-        eprintln!("generating XMark data at factor {factor} ...");
-        let db = xmark::auction_database(factor);
-        eprintln!("document(\"auction.xml\"): {} nodes", db.node_count());
-        db
+    let code = match flag(&args, "--connect") {
+        Some(addr) => Remote::connect(addr).map(repl),
+        None => Local::start(&args).map(repl),
     };
-
-    let shell_catalog = Catalog::new();
-    shell_catalog.register(DEFAULT_DB, Arc::new(db)).expect("default name is valid");
-    let mut shell = Shell {
-        catalog: shell_catalog,
-        current: DEFAULT_DB.to_string(),
-        engine,
-        explain: false,
-        stats: false,
-        analyze: false,
-    };
-    eprintln!("engine: {} — type .help for commands", shell.engine.name());
-
-    let stdin = std::io::stdin();
-    let mut buffer = String::new();
-    loop {
-        if buffer.is_empty() {
-            if shell.current == DEFAULT_DB {
-                eprint!("tlc> ");
-            } else {
-                eprint!("tlc:{}> ", shell.current);
-            }
-        } else {
-            eprint!("...> ");
-        }
-        std::io::stderr().flush().ok();
-        let mut line = String::new();
-        match stdin.lock().read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) => {}
-            Err(_) => break,
-        }
-        let trimmed = line.trim();
-        if buffer.is_empty() && trimmed.starts_with('.') {
-            if !shell.command(trimmed) {
-                break;
-            }
-            continue;
-        }
-        if trimmed.is_empty() || trimmed.ends_with(';') {
-            buffer.push_str(trimmed.trim_end_matches(';'));
-            let query = buffer.trim().to_string();
-            buffer.clear();
-            if !query.is_empty() {
-                shell.run(&query);
-            }
-            continue;
-        }
-        buffer.push_str(&line);
-    }
+    std::process::exit(code.unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        1
+    }));
 }
 
 fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
     args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).map(String::as_str)
 }
 
-/// Client mode: forward query lines to a running `tlc-serve` and print the
-/// framed responses. Returns the process exit code.
-fn client(addr: &str) -> i32 {
-    use service::protocol::{read_response, Frame};
-    let stream = match std::net::TcpStream::connect(addr) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot connect to {addr}: {e}");
-            return 1;
-        }
-    };
-    let mut reader = std::io::BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot clone connection: {e}");
-            return 1;
-        }
-    });
-    let mut writer = stream;
-    eprintln!("connected to {addr}; one query per line, .metrics for the report, .quit to leave");
-    let stdin = std::io::stdin();
+fn print_frame(frame: Frame) {
+    match frame {
+        Frame::Ok(payload) if payload.ends_with('\n') => print!("{payload}"),
+        Frame::Ok(payload) => println!("{payload}"),
+        Frame::Err(message) => println!("error: {message}"),
+    }
+}
+
+/// What the prompt drives: the in-process service, or a remote `tlc-serve`.
+trait Backend {
+    /// The prompt shown before a new request.
+    fn prompt(&self) -> String;
+    /// Handles one dot-command other than `.quit`.
+    fn command(&mut self, cmd: &str) -> io::Result<()>;
+    /// Runs one query (possibly spanning lines).
+    fn query(&mut self, query: &str) -> io::Result<()>;
+    /// Called once when the prompt ends, on `.quit` or end of input.
+    fn quit(&mut self) {}
+}
+
+/// The read-eval-print loop: prompt, multi-line query buffering and
+/// `.quit`. End of input ends a pending query, like an empty line.
+/// Returns the process exit code; an I/O error from the backend (a lost
+/// connection) ends the loop with 1.
+fn repl(mut backend: impl Backend) -> i32 {
+    let stdin = io::stdin();
+    let mut buffer = String::new();
     loop {
-        eprint!("tlc@{addr}> ");
-        std::io::stderr().flush().ok();
+        if buffer.is_empty() {
+            eprint!("{}", backend.prompt());
+        } else {
+            eprint!("...> ");
+        }
+        io::stderr().flush().ok();
         let mut line = String::new();
-        match stdin.lock().read_line(&mut line) {
-            Ok(0) | Err(_) => {
-                let _ = writer.write_all(b".quit\n");
-                return 0;
-            }
-            Ok(_) => {}
+        let eof = !matches!(stdin.lock().read_line(&mut line), Ok(n) if n > 0);
+        if eof && buffer.trim().is_empty() {
+            break;
         }
         let trimmed = line.trim();
-        if trimmed.is_empty() {
+        let outcome = if buffer.is_empty() && trimmed.starts_with('.') {
+            if matches!(trimmed, ".quit" | ".exit") {
+                break;
+            }
+            backend.command(trimmed)
+        } else if trimmed.is_empty() || trimmed.ends_with(';') {
+            buffer.push_str(trimmed.trim_end_matches(';'));
+            let query = std::mem::take(&mut buffer);
+            match query.trim() {
+                "" => continue,
+                query => backend.query(query),
+            }
+        } else {
+            buffer.push_str(&line);
             continue;
-        }
-        if writer
-            .write_all(format!("{trimmed}\n").as_bytes())
-            .and_then(|()| writer.flush())
-            .is_err()
-        {
-            eprintln!("connection lost");
+        };
+        if let Err(e) = outcome {
+            eprintln!("connection lost: {e}");
             return 1;
         }
-        if trimmed == ".quit" {
-            return 0;
+        if eof {
+            break;
         }
-        match read_response(&mut reader) {
-            Ok(Frame::Ok(payload)) => println!("{payload}"),
-            Ok(Frame::Err(message)) => println!("error: {message}"),
-            Err(e) => {
-                eprintln!("connection lost: {e}");
-                return 1;
-            }
-        }
+    }
+    backend.quit();
+    0
+}
+
+/// Client mode: every request goes to a running `tlc-serve`.
+struct Remote {
+    addr: String,
+    reader: io::BufReader<TcpStream>,
+    writer: TcpStream,
+}
+
+impl Remote {
+    fn connect(addr: &str) -> Result<Remote, String> {
+        let cannot = |e: io::Error| format!("cannot connect to {addr}: {e}");
+        let writer = TcpStream::connect(addr).map_err(cannot)?;
+        let reader = io::BufReader::new(writer.try_clone().map_err(cannot)?);
+        eprintln!("connected to {addr}; queries end with `;` or an empty line, .quit to leave");
+        Ok(Remote { addr: addr.to_string(), reader, writer })
+    }
+
+    /// Sends one request line and prints the reply frame.
+    fn request(&mut self, line: &str) -> io::Result<()> {
+        self.writer.write_all(format!("{line}\n").as_bytes())?;
+        self.writer.flush()?;
+        print_frame(read_response(&mut self.reader)?);
+        Ok(())
     }
 }
 
-/// Splits up to `n` whitespace-separated words off `s`, returning them and
-/// the raw (trimmed) remainder — `.insert` fragments and `.settext`
-/// payloads may themselves contain spaces, so they must not be word-split.
-fn split_words(s: &str, n: usize) -> (Vec<&str>, &str) {
-    let mut words = Vec::new();
-    let mut rest = s.trim_start();
-    while words.len() < n {
-        let Some(end) = rest.find(char::is_whitespace) else {
-            if !rest.is_empty() {
-                words.push(rest);
-            }
-            return (words, "");
+impl Backend for Remote {
+    fn prompt(&self) -> String {
+        format!("tlc@{}> ", self.addr)
+    }
+
+    fn command(&mut self, cmd: &str) -> io::Result<()> {
+        self.request(cmd)
+    }
+
+    fn query(&mut self, query: &str) -> io::Result<()> {
+        self.request(&query.replace(['\n', '\r'], " "))
+    }
+
+    fn quit(&mut self) {
+        let _ = self.writer.write_all(b".quit\n");
+    }
+}
+
+/// Local mode: one in-process service, shared with `.serve`.
+struct Local {
+    session: Session,
+    engine: Engine,
+    explain: bool,
+    stats: bool,
+    analyze: bool,
+}
+
+impl Local {
+    /// Loads or generates the startup database and builds the service.
+    fn start(args: &[String]) -> Result<Local, String> {
+        let known = |a: &&String| matches!(a.as_str(), "--factor" | "--load" | "--engine");
+        if let Some(bad) = args.iter().step_by(2).find(|a| !known(a)) {
+            return Err(format!("unknown flag: {bad}"));
+        }
+        let engine = match flag(args, "--engine") {
+            Some(name) => name.parse()?,
+            None => Engine::Tlc,
         };
-        words.push(&rest[..end]);
-        rest = rest[end..].trim_start();
+        let db = match flag(args, "--load") {
+            Some(file) => {
+                let db = xmldb::load_path(std::path::Path::new(file))
+                    .map_err(|e| format!("cannot load {file}: {e}"))?;
+                eprintln!(
+                    "loaded {file}: {} document(s), {} nodes",
+                    db.document_count(),
+                    db.node_count()
+                );
+                db
+            }
+            None => {
+                let factor: f64 =
+                    flag(args, "--factor").and_then(|f| f.parse().ok()).unwrap_or(0.01);
+                eprintln!("generating XMark data at factor {factor} ...");
+                let db = xmark::auction_database(factor);
+                eprintln!("document(\"auction.xml\"): {} nodes", db.node_count());
+                db
+            }
+        };
+        let config = ServiceConfig { engine, ..Default::default() };
+        let service = Arc::new(Service::new(Arc::new(db), config));
+        eprintln!("engine: {} — type .help for commands", engine.name());
+        Ok(Local {
+            session: Session::new(service),
+            engine,
+            explain: false,
+            stats: false,
+            analyze: false,
+        })
     }
-    (words, rest.trim_end())
+
+    /// The session's current snapshot, resolved per command so every
+    /// commit (local or from a `.serve` client) is visible at once.
+    fn db(&self) -> Option<Arc<xmldb::Database>> {
+        match self.session.service().entry(self.session.current()) {
+            Ok(entry) => Some(Arc::clone(entry.database())),
+            Err(e) => {
+                println!("error: {e}");
+                None
+            }
+        }
+    }
+
+    /// Shares the shell's service over TCP in the background; the local
+    /// prompt stays usable.
+    fn serve(&self, addr: &str) {
+        let listener = match std::net::TcpListener::bind(addr) {
+            Ok(l) => l,
+            Err(e) => {
+                println!("error: cannot bind {addr}: {e}");
+                return;
+            }
+        };
+        let svc = Arc::clone(self.session.service());
+        println!(
+            "serving on {addr} (engine {}, {} workers) — connect with: tlc-shell --connect {addr}",
+            svc.engine().name(),
+            svc.workers()
+        );
+        std::thread::spawn(move || {
+            for stream in listener.incoming().flatten() {
+                let svc = Arc::clone(&svc);
+                std::thread::spawn(move || {
+                    let Ok(read_half) = stream.try_clone() else { return };
+                    let mut reader = io::BufReader::new(read_half);
+                    let mut writer = io::BufWriter::new(stream);
+                    let _ = service::protocol::serve_connection(&svc, &mut reader, &mut writer);
+                });
+            }
+        });
+    }
 }
 
-/// Comma-joins `items`, or renders `(none)` for an empty sequence —
-/// keeps the `.explain` report's footprint lines readable.
-fn parse_engine(s: &str) -> Engine {
-    match s.to_ascii_lowercase().as_str() {
-        "opt" => Engine::TlcOpt,
-        "costed" => Engine::TlcCosted,
-        "gtp" => Engine::Gtp,
-        "tax" => Engine::Tax,
-        "nav" => Engine::Nav,
-        _ => Engine::Tlc,
-    }
-}
-
-impl Shell {
-    /// The current database's published snapshot. The shell resolves per
-    /// command/query, so a `.reload` is visible immediately.
-    fn db(&self) -> Arc<xmldb::Database> {
-        let entry = self.catalog.resolve(&self.current).expect("current db is registered");
-        Arc::clone(entry.database())
+impl Backend for Local {
+    fn prompt(&self) -> String {
+        match self.session.current() {
+            DEFAULT_DB => "tlc> ".to_string(),
+            current => format!("tlc:{current}> "),
+        }
     }
 
-    /// Handles a dot-command; returns false to quit.
-    fn command(&mut self, cmd: &str) -> bool {
+    fn command(&mut self, cmd: &str) -> io::Result<()> {
         let mut parts = cmd.split_whitespace();
         match parts.next().unwrap_or("") {
-            ".quit" | ".exit" => return false,
-            ".open" => match (parts.next(), parts.next()) {
-                (Some(name), Some(file)) => {
-                    match self.catalog.open(name, std::path::Path::new(file)) {
-                        Ok(entry) => {
-                            self.current = name.to_string();
-                            println!(
-                                "opened {name}: epoch {}, {} document(s), {} nodes",
-                                entry.epoch(),
-                                entry.database().document_count(),
-                                entry.database().node_count()
-                            );
-                        }
-                        Err(e) => println!("error: {e}"),
+            ".engine" => match parts.next().map(str::parse) {
+                Some(Err(e)) => println!("error: {e}"),
+                choice => {
+                    if let Some(Ok(engine)) = choice {
+                        self.engine = engine;
                     }
+                    println!("engine: {}", self.engine.name());
                 }
-                _ => println!("usage: .open <name> <file>"),
             },
-            ".use" => match parts.next() {
-                Some(name) if self.catalog.contains(name) => {
-                    self.current = name.to_string();
-                    println!("using {name}");
-                }
-                Some(name) => println!("error: unknown database {name}"),
-                None => println!("usage: .use <name>"),
-            },
-            ".reload" => {
-                let name = parts.next().unwrap_or(&self.current).to_string();
-                match self.catalog.reload(&name) {
-                    Ok(entry) => println!("reloaded {name}: epoch {}", entry.epoch()),
-                    Err(e) => println!("error: {e}"),
-                }
-            }
-            ".drop" => match parts.next() {
-                Some(name) if name == self.current => {
-                    println!(
-                        "error: cannot drop the shell's current database {name:?}; .use another first"
-                    );
-                }
-                Some(name) => match self.catalog.remove(name) {
-                    Ok(()) => println!("dropped {name}"),
-                    Err(e) => println!("error: {e}"),
-                },
-                None => println!("usage: .drop <name>"),
-            },
-            ".catalog" => print!("{}", catalog::render(&self.catalog.list())),
-            ".engine" => {
-                if let Some(e) = parts.next() {
-                    self.engine = parse_engine(e);
-                }
-                println!("engine: {}", self.engine.name());
-            }
-            ".explain" => {
-                let tail = cmd.strip_prefix(".explain").unwrap_or_default().trim();
-                if tail.is_empty() {
+            ".explain" => match cmd[".explain".len()..].trim() {
+                "" => {
                     self.explain = !self.explain;
                     println!("explain: {}", self.explain);
-                } else {
-                    self.explain_query(tail);
                 }
-            }
+                // The server's `.explain <query>` report, with the shell's engine.
+                query => match self.db().map(|db| service::explain(self.engine, &db, query)) {
+                    Some(Ok(report)) => print!("{}", report.text),
+                    Some(Err(e)) => println!("error: {e}"),
+                    None => {}
+                },
+            },
             ".stats" => {
                 self.stats = !self.stats;
                 println!("stats: {}", self.stats);
@@ -317,46 +312,20 @@ impl Shell {
                 self.analyze = !self.analyze;
                 println!("analyze: {}", self.analyze);
             }
-            ".save" => match parts.next() {
-                Some(path) => match xmldb::save_file(&self.db(), std::path::Path::new(path)) {
+            ".save" => match (parts.next(), self.db()) {
+                (Some(path), Some(db)) => match xmldb::save_file(&db, std::path::Path::new(path)) {
                     Ok(()) => println!("snapshot written to {path}"),
                     Err(e) => println!("error: {e}"),
                 },
-                None => println!("usage: .save <file.tlcx>"),
+                (None, _) => println!("usage: .save <file.tlcx>"),
+                (Some(_), None) => {}
             },
-            ".check" => match xmldb::check_database(&self.db()) {
-                Ok(report) => println!("{report}"),
-                Err(e) => println!("error: {e}"),
-            },
-            ".insert" => {
-                let tail = cmd.strip_prefix(".insert").unwrap_or_default();
-                let (head, xml) = split_words(tail, 2);
-                match (head.as_slice(), xml) {
-                    ([doc, parent], xml) if !xml.is_empty() => match parent.parse::<u32>() {
-                        Ok(parent) => {
-                            self.mutate(doc, |db, d| xmldb::insert_subtree(db, d, parent, xml))
-                        }
-                        Err(_) => println!("error: parent must be a pre ordinal (u32)"),
-                    },
-                    _ => println!("usage: .insert <doc> <parent-ord> <xml-fragment>"),
-                }
-            }
-            ".delete" => match (parts.next(), parts.next()) {
-                (Some(doc), Some(ord)) => match ord.parse::<u32>() {
-                    Ok(pre) => self.mutate(doc, |db, d| xmldb::delete_subtree(db, d, pre)),
-                    Err(_) => println!("error: ord must be a pre ordinal (u32)"),
-                },
-                _ => println!("usage: .delete <doc> <ord>"),
-            },
-            ".settext" => {
-                let tail = cmd.strip_prefix(".settext").unwrap_or_default();
-                let (head, text) = split_words(tail, 2);
-                match head.as_slice() {
-                    [doc, ord] => match ord.parse::<u32>() {
-                        Ok(pre) => self.mutate(doc, |db, d| xmldb::set_text(db, d, pre, text)),
-                        Err(_) => println!("error: ord must be a pre ordinal (u32)"),
-                    },
-                    _ => println!("usage: .settext <doc> <ord> [<text>]"),
+            ".check" => {
+                if let Some(db) = self.db() {
+                    match xmldb::check_database(&db) {
+                        Ok(report) => println!("{report}"),
+                        Err(e) => println!("error: {e}"),
+                    }
                 }
             }
             ".queries" => {
@@ -365,7 +334,7 @@ impl Shell {
                 }
             }
             ".bench" => match parts.next().and_then(queries::query) {
-                Some(q) => self.run(q.text),
+                Some(q) => self.query(q.text)?,
                 None => println!("usage: .bench <x1..x20|Q1|Q2|x10a>"),
             },
             ".serve" => match parts.next() {
@@ -374,7 +343,7 @@ impl Shell {
             },
             ".help" => {
                 println!(
-                    ".engine tlc|opt|costed|gtp|tax|nav  switch evaluator\n\
+                    ".engine tlc|opt|costed|gtp|tax|nav  switch the prompt's evaluator\n\
                      .explain [<query>]            toggle plan display, or analyze a query\n\
                      .stats                        toggle execution counters\n\
                      .analyze                      toggle per-operator timings\n\
@@ -389,97 +358,29 @@ impl Shell {
                      .insert <doc> <parent-ord> <xml>  append a fragment under a node\n\
                      .delete <doc> <ord>           delete a subtree\n\
                      .settext <doc> <ord> [<text>] replace an element's text\n\
+                     .metrics                      the service's metrics report\n\
                      .save <file.tlcx>             snapshot the current database\n\
-                     .serve <host:port>            share this database over TCP\n\
+                     .serve <host:port>            share the catalog over TCP, served\n\
+                     \x20                             with the startup engine\n\
                      .quit                         leave"
                 );
             }
-            other => println!("unknown command {other}; try .help"),
-        }
-        true
-    }
-
-    /// Copy-on-write mutation of the current database: clone the published
-    /// snapshot, apply `op` to document `doc` in the clone, publish it as
-    /// the next epoch. A concurrent `.serve` reader mid-query keeps the
-    /// snapshot it pinned; the next resolve sees the new one.
-    fn mutate(
-        &self,
-        doc: &str,
-        op: impl FnOnce(&mut xmldb::Database, xmldb::DocId) -> xmldb::Result<xmldb::UpdateSummary>,
-    ) {
-        let mut next: xmldb::Database = (*self.db()).clone();
-        let result = next.document_by_name(doc).and_then(|d| op(&mut next, d));
-        match result {
-            Ok(summary) => match self.catalog.register(&self.current, Arc::new(next)) {
-                Ok(entry) => {
-                    let renumbered = if summary.renumbered > 0 {
-                        format!(", {} node(s) renumbered", summary.renumbered)
-                    } else {
-                        String::new()
-                    };
-                    println!(
-                        "updated {}: epoch {}, +{}/-{} node(s){renumbered}",
-                        self.current,
-                        entry.epoch(),
-                        summary.nodes_added,
-                        summary.nodes_removed
-                    );
+            _ => {
+                if let ControlFlow::Continue(frame) | ControlFlow::Break(Some(frame)) =
+                    self.session.answer(cmd)
+                {
+                    print_frame(frame);
                 }
-                Err(e) => println!("error: {e}"),
-            },
-            Err(e) => println!("error: {e}"),
-        }
-    }
-
-    /// Shares this shell's database over TCP in the background; the local
-    /// prompt stays usable (both sides read the same immutable store).
-    fn serve(&self, addr: &str) {
-        let listener = match std::net::TcpListener::bind(addr) {
-            Ok(l) => l,
-            Err(e) => {
-                println!("error: cannot bind {addr}: {e}");
-                return;
             }
-        };
-        let config = service::ServiceConfig { engine: self.engine, ..Default::default() };
-        let svc = Arc::new(service::Service::new(self.db(), config));
-        println!(
-            "serving on {addr} (engine {}, {} workers) — connect with: tlc-shell --connect {addr}",
-            self.engine.name(),
-            svc.workers()
-        );
-        std::thread::spawn(move || {
-            for stream in listener.incoming().flatten() {
-                let svc = Arc::clone(&svc);
-                std::thread::spawn(move || {
-                    let Ok(read_half) = stream.try_clone() else { return };
-                    let mut reader = std::io::BufReader::new(read_half);
-                    let mut writer = std::io::BufWriter::new(stream);
-                    let _ = service::protocol::serve_connection(&svc, &mut reader, &mut writer);
-                });
-            }
-        });
-    }
-
-    /// Prints the static analysis report for `query` — typed plan, read
-    /// footprint, liveness-pruning outcome and lint warnings — without
-    /// executing it: the server's `.explain <query>` report
-    /// ([`service::explain`]).
-    fn explain_query(&self, query: &str) {
-        match service::explain(self.engine, &self.db(), query) {
-            Ok(report) => print!("{}", report.text),
-            Err(service::ServiceError::Compile(e)) => println!("error: {e}"),
-            Err(service::ServiceError::Unsupported(m)) => println!("error: {m}"),
-            Err(e) => println!("error: {e}"),
         }
+        Ok(())
     }
 
-    fn run(&mut self, query: &str) {
+    fn query(&mut self, query: &str) -> io::Result<()> {
         let started = std::time::Instant::now();
-        // Pin the current snapshot for the whole run; a concurrent `.serve`
-        // client reloading mid-query cannot pull the store out from under us.
-        let db = self.db();
+        // Pin the current snapshot for the whole run; a commit or reload
+        // mid-query cannot pull the store out from under us.
+        let Some(db) = self.db() else { return Ok(()) };
         if self.engine == Engine::Nav {
             match xquery::parse(query) {
                 Ok(ast) => match baselines::evaluate_nav(&db, &ast) {
@@ -498,7 +399,7 @@ impl Shell {
                 },
                 Err(e) => println!("error: {e}"),
             }
-            return;
+            return Ok(());
         }
         match baselines::plan_for(self.engine, query, &db) {
             Ok(plan) => {
@@ -513,7 +414,7 @@ impl Shell {
                         }
                         Err(e) => println!("error: {e}"),
                     }
-                    return;
+                    return Ok(());
                 }
                 match tlc::execute(&db, &plan) {
                     Ok((trees, stats)) => {
@@ -537,5 +438,6 @@ impl Shell {
             }
             Err(e) => println!("error: {e}"),
         }
+        Ok(())
     }
 }

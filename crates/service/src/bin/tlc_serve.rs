@@ -23,7 +23,6 @@
 //! plus its epoch) is written to FILE after startup and after each
 //! connection closes, and restored from it on the next start.
 
-use baselines::Engine;
 use service::{manifest, protocol, Service, ServiceConfig};
 use std::io::{BufReader, BufWriter};
 use std::net::TcpListener;
@@ -97,18 +96,6 @@ const USAGE: &str = "usage: tlc-serve [OPTIONS]
                     abandoning it (default: wait forever)
   --help            this text";
 
-fn parse_engine(name: &str) -> Option<Engine> {
-    match name.to_ascii_lowercase().as_str() {
-        "tlc" => Some(Engine::Tlc),
-        "opt" | "tlcopt" => Some(Engine::TlcOpt),
-        "costed" | "opt*" => Some(Engine::TlcCosted),
-        "gtp" => Some(Engine::Gtp),
-        "tax" => Some(Engine::Tax),
-        "nav" => Some(Engine::Nav),
-        _ => None,
-    }
-}
-
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
         factor: 0.05,
@@ -135,9 +122,7 @@ fn parse_args() -> Result<Options, String> {
             "--manifest" => opts.manifest = Some(value("--manifest")?),
             "--tcp" => opts.tcp = Some(value("--tcp")?),
             "--engine" => {
-                let name = value("--engine")?;
-                opts.config.engine =
-                    parse_engine(&name).ok_or(format!("unknown engine: {name}"))?;
+                opts.config.engine = value("--engine")?.parse()?;
             }
             "--workers" => {
                 opts.config.workers =

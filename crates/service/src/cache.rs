@@ -455,7 +455,7 @@ impl MatchStore {
     /// is re-inserted under `{to_prefix}{key}` at the same cost. Returns
     /// how many entries were carried. The caller is responsible for only
     /// passing chain keys whose entries provably survive the mutation (see
-    /// [`tlc::match_chain_keys`] and [`tlc::Footprint`]); this method is
+    /// [`tlc::match_chain_footprints`] and [`tlc::Footprint`]); this method is
     /// pure key plumbing.
     pub fn carry<K: AsRef<str>>(
         &self,

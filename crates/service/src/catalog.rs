@@ -25,9 +25,9 @@
 //! before a swap can never be served after it — see
 //! [`crate::cache::plan_key`] and the swap hook in [`crate::Service`].
 //!
-//! The catalog itself is engine-agnostic and does no caching; it is shared
-//! by the service (which layers the plan cache and metrics on top) and by
-//! `tlc-shell`'s local session.
+//! The catalog itself is engine-agnostic and does no caching; the service
+//! layers the plan cache and metrics on top. `tlc-shell` reaches it only
+//! through an in-process [`crate::Service`].
 
 use std::collections::HashMap;
 use std::fmt;

@@ -498,7 +498,7 @@ impl Service {
     /// never reads the mutated document, or none of the mutation's
     /// affected tags appears in its patterns — is carried into the new
     /// epoch's key space, together with its match-cache entries
-    /// ([`tlc::match_chain_keys`]). Match entries additionally embed node
+    /// ([`tlc::match_chain_footprints`]). Match entries additionally embed node
     /// ordinals, so when the update had to renumber
     /// ([`xmldb::UpdateSummary::renumbered`]) nothing in the mutated
     /// document's match entries survives, while plans (which bind only tag
@@ -584,7 +584,8 @@ impl Service {
         })
     }
 
-    fn entry(&self, db: &str) -> Result<Arc<CatalogEntry>, ServiceError> {
+    /// The published entry (current snapshot and epoch) of database `db`.
+    pub fn entry(&self, db: &str) -> Result<Arc<CatalogEntry>, ServiceError> {
         self.catalog.resolve(db).map_err(ServiceError::Catalog)
     }
 

@@ -1,4 +1,4 @@
-//! The line protocol `tlc-serve` speaks, shared with the CLI client.
+//! The line protocol `tlc-serve` speaks, shared with `tlc-shell`.
 //!
 //! Requests are single lines:
 //!
@@ -46,12 +46,15 @@
 //! discarded up to its newline and answered with
 //! `ERR request line exceeds N bytes`, and the connection stays open.
 //!
-//! [`serve_connection`] runs the server side of one connection over any
-//! reader/writer pair (stdin/stdout or a TCP stream); [`read_response`] is
-//! the client-side frame parser.
+//! [`Session`] is the one interpreter of these requests: it answers a
+//! request line with a [`Frame`]. [`serve_connection`] runs one session
+//! over any reader/writer pair (stdin/stdout or a TCP stream), and
+//! `tlc-shell` drives one against its in-process service for the catalog
+//! and update commands. [`read_response`] is the client-side frame parser.
 
 use crate::{Service, ServiceError, UpdateOp};
 use std::io::{self, BufRead, Write};
+use std::ops::ControlFlow;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -132,37 +135,6 @@ fn split_words(s: &str, n: usize) -> (Vec<&str>, &str) {
     (words, rest)
 }
 
-/// Runs one update op against `db` and writes the outcome frame.
-fn run_update(
-    service: &Arc<Service>,
-    writer: &mut impl Write,
-    frame: &mut FrameBuf,
-    db: &str,
-    op: &UpdateOp,
-) -> io::Result<()> {
-    match service.apply_update(db, op) {
-        Ok(o) => {
-            let renumbered = if o.summary.renumbered > 0 {
-                format!(", {} node(s) renumbered", o.summary.renumbered)
-            } else {
-                String::new()
-            };
-            frame.write_ok(
-                writer,
-                &format!(
-                    "updated {db}: epoch {}, +{}/-{} node(s){renumbered}, {} plan(s) and {} match entr(ies) carried",
-                    o.entry.epoch(),
-                    o.summary.nodes_added,
-                    o.summary.nodes_removed,
-                    o.plans_seeded,
-                    o.matches_seeded
-                ),
-            )
-        }
-        Err(e) => write_err(writer, &e.to_string()),
-    }
-}
-
 /// A parsed response frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Frame {
@@ -182,8 +154,8 @@ pub fn write_ok(w: &mut impl Write, payload: &str) -> io::Result<()> {
 /// envelope is assembled here and handed to the writer as one
 /// `write_all`, and the buffer's capacity is recycled across replies
 /// instead of re-formatting each frame into fresh allocations. One
-/// instance lives for the whole [`serve_connection`] loop, so a
-/// connection's largest reply sizes the buffer once.
+/// instance lives for the whole [`Session`], so a connection's largest
+/// reply sizes the buffer once.
 #[derive(Debug, Default)]
 pub struct FrameBuf {
     buf: String,
@@ -245,23 +217,201 @@ pub fn read_response(r: &mut impl BufRead) -> io::Result<Frame> {
     }
 }
 
-/// Serves one connection: reads request lines until `.quit` or EOF,
-/// answering each with a frame. Returns the number of queries served.
+/// An `ERR` frame; newlines in the message are flattened, as on the wire.
+fn err(message: impl std::fmt::Display) -> Frame {
+    let flat = message.to_string().replace(['\n', '\r'], " ");
+    Frame::Err(flat)
+}
+
+/// One protocol session: the request handler behind [`serve_connection`]
+/// and `tlc-shell`'s prompt. It holds the session's current database and
+/// its reusable [`FrameBuf`], and answers one request line at a time.
 ///
 /// Every session starts on [`crate::catalog::DEFAULT_DB`]; `.open` and
-/// `.use` move this session only.
+/// `.use` move this session only. Sessions sharing one [`Service`] share
+/// its catalog and caches, so each sees the others' commits on its next
+/// request.
+pub struct Session {
+    service: Arc<Service>,
+    current: String,
+    frame: FrameBuf,
+    /// Queries answered so far (dot-commands do not count).
+    served: u64,
+}
+
+impl Session {
+    /// A session on `service`, starting on its default database.
+    pub fn new(service: Arc<Service>) -> Session {
+        let current = service.default_database().to_string();
+        Session { service, current, frame: FrameBuf::new(), served: 0 }
+    }
+
+    /// The service this session drives.
+    pub fn service(&self) -> &Arc<Service> {
+        &self.service
+    }
+
+    /// The catalog name of the session's current database.
+    pub fn current(&self) -> &str {
+        &self.current
+    }
+
+    /// Answers one trimmed, non-empty request line. `Break` ends the
+    /// session: with no frame on `.quit`, with the error frame when the
+    /// service is shutting down.
+    pub fn answer(&mut self, request: &str) -> ControlFlow<Option<Frame>, Frame> {
+        let frame = match request {
+            ".quit" => return ControlFlow::Break(None),
+            ".metrics" => Frame::Ok(self.service.metrics_report()),
+            ".catalog" => Frame::Ok(self.service.catalog_report()),
+            dot if dot.starts_with('.') => self.command(dot),
+            query => {
+                self.served += 1;
+                match self.service.execute_on(&self.current, query) {
+                    Ok(resp) => Frame::Ok(resp.output),
+                    Err(e @ ServiceError::ShuttingDown) => return ControlFlow::Break(Some(err(e))),
+                    Err(e) => err(e),
+                }
+            }
+        };
+        ControlFlow::Continue(frame)
+    }
+
+    /// Writes `frame` in wire format, `OK` frames through the session's
+    /// reusable buffer.
+    fn write(&mut self, w: &mut impl Write, frame: &Frame) -> io::Result<()> {
+        match frame {
+            Frame::Ok(payload) => self.frame.write_ok(w, payload),
+            Frame::Err(message) => write_err(w, message),
+        }
+    }
+
+    /// Answers a dot-command other than `.quit`, `.metrics` and `.catalog`.
+    fn command(&mut self, dot: &str) -> Frame {
+        let mut words = dot.split_whitespace();
+        let cmd = words.next().expect("non-empty dot line");
+        let args: Vec<&str> = words.collect();
+        let service = &self.service;
+        match (cmd, args.as_slice()) {
+            (".open", [name, file]) => match service.open(name, Path::new(file)) {
+                Ok(entry) => {
+                    self.current = name.to_string();
+                    let db = entry.database();
+                    Frame::Ok(format!(
+                        "opened {name}: epoch {}, {} document(s), {} nodes",
+                        entry.epoch(),
+                        db.document_count(),
+                        db.node_count()
+                    ))
+                }
+                Err(e) => err(e),
+            },
+            (".open", _) => err("usage: .open <name> <file>"),
+            (".use", [name]) => {
+                if service.has_database(name) {
+                    self.current = name.to_string();
+                    Frame::Ok(format!("using {name}"))
+                } else {
+                    err(format!("unknown database: {name}"))
+                }
+            }
+            (".use", _) => err("usage: .use <name>"),
+            (".reload", rest @ ([] | [_])) => {
+                let name = rest.first().copied().unwrap_or(&self.current);
+                match service.reload(name) {
+                    Ok((entry, invalidated)) => Frame::Ok(format!(
+                        "reloaded {name}: epoch {}, {invalidated} plan(s) invalidated",
+                        entry.epoch()
+                    )),
+                    Err(e) => err(e),
+                }
+            }
+            (".reload", _) => err("usage: .reload [<name>]"),
+            (".drop", [name]) if *name == self.current => err(format!(
+                "cannot drop the session's current database {name:?}; .use another first"
+            )),
+            (".drop", [name]) => match service.drop_database(name) {
+                Ok((plans, entries)) => Frame::Ok(format!(
+                    "dropped {name}: {plans} plan(s), {entries} match entr(ies) purged"
+                )),
+                Err(e) => err(e),
+            },
+            (".drop", _) => err("usage: .drop <name>"),
+            (".insert", _) => match split_words(&dot[cmd.len()..], 2) {
+                (head, xml) if head.len() == 2 && !xml.is_empty() => match head[1].parse() {
+                    Ok(parent) => self.update(&UpdateOp::Insert {
+                        doc: head[0].to_string(),
+                        parent,
+                        xml: xml.to_string(),
+                    }),
+                    Err(_) => err("parent must be a pre ordinal (u32)"),
+                },
+                _ => err("usage: .insert <doc> <parent-ord> <xml-fragment>"),
+            },
+            (".delete", [doc, ord]) => match ord.parse() {
+                Ok(pre) => self.update(&UpdateOp::Delete { doc: doc.to_string(), pre }),
+                Err(_) => err("ord must be a pre ordinal (u32)"),
+            },
+            (".delete", _) => err("usage: .delete <doc> <ord>"),
+            (".settext", _) => match split_words(&dot[cmd.len()..], 2) {
+                (head, text) if head.len() == 2 => match head[1].parse() {
+                    Ok(pre) => self.update(&UpdateOp::SetText {
+                        doc: head[0].to_string(),
+                        pre,
+                        text: text.to_string(),
+                    }),
+                    Err(_) => err("ord must be a pre ordinal (u32)"),
+                },
+                _ => err("usage: .settext <doc> <ord> [<text>]"),
+            },
+            (".explain", _) => match dot[cmd.len()..].trim_start() {
+                "" => err("usage: .explain <query>"),
+                query => match service.explain(&self.current, query) {
+                    Ok(report) => Frame::Ok(report),
+                    Err(e) => err(e),
+                },
+            },
+            _ => err(format!("unknown command: {dot}")),
+        }
+    }
+
+    /// Commits one update against the current database and reports it.
+    fn update(&self, op: &UpdateOp) -> Frame {
+        let db = &self.current;
+        match self.service.apply_update(db, op) {
+            Ok(o) => {
+                let renumbered = if o.summary.renumbered > 0 {
+                    format!(", {} node(s) renumbered", o.summary.renumbered)
+                } else {
+                    String::new()
+                };
+                Frame::Ok(format!(
+                    "updated {db}: epoch {}, +{}/-{} node(s){renumbered}, {} plan(s) and {} match entr(ies) carried",
+                    o.entry.epoch(),
+                    o.summary.nodes_added,
+                    o.summary.nodes_removed,
+                    o.plans_seeded,
+                    o.matches_seeded
+                ))
+            }
+            Err(e) => err(e),
+        }
+    }
+}
+
+/// Serves one connection: reads request lines until `.quit` or EOF and
+/// answers each through one [`Session`], writing its frame. Returns the
+/// number of queries served.
 pub fn serve_connection(
     service: &Arc<Service>,
     reader: &mut impl BufRead,
     writer: &mut impl Write,
 ) -> io::Result<u64> {
-    let mut served = 0;
-    let mut current = service.default_database().to_string();
+    let mut session = Session::new(Arc::clone(service));
     let mut raw = Vec::new();
-    let mut frame = FrameBuf::new();
     loop {
         match read_request_line(reader, &mut raw)? {
-            LineRead::Eof => return Ok(served),
+            LineRead::Eof => return Ok(session.served),
             LineRead::TooLong => {
                 write_err(writer, &format!("request line exceeds {MAX_REQUEST_LINE} bytes"))?;
                 continue;
@@ -273,150 +423,16 @@ pub fn serve_connection(
             continue;
         };
         let request = line.trim();
-        match request {
-            "" => continue,
-            ".quit" => return Ok(served),
-            ".metrics" => frame.write_ok(writer, &service.metrics_report())?,
-            ".catalog" => frame.write_ok(writer, &service.catalog_report())?,
-            dot if dot.starts_with('.') => {
-                let mut words = dot.split_whitespace();
-                let cmd = words.next().expect("non-empty dot line");
-                let args: Vec<&str> = words.collect();
-                match (cmd, args.as_slice()) {
-                    (".open", [name, file]) => match service.open(name, Path::new(file)) {
-                        Ok(entry) => {
-                            current = name.to_string();
-                            let db = entry.database();
-                            frame.write_ok(
-                                writer,
-                                &format!(
-                                    "opened {name}: epoch {}, {} document(s), {} nodes",
-                                    entry.epoch(),
-                                    db.document_count(),
-                                    db.node_count()
-                                ),
-                            )?;
-                        }
-                        Err(e) => write_err(writer, &e.to_string())?,
-                    },
-                    (".open", _) => write_err(writer, "usage: .open <name> <file>")?,
-                    (".use", [name]) => {
-                        if service.has_database(name) {
-                            current = name.to_string();
-                            frame.write_ok(writer, &format!("using {name}"))?;
-                        } else {
-                            write_err(writer, &format!("unknown database: {name}"))?;
-                        }
-                    }
-                    (".use", _) => write_err(writer, "usage: .use <name>")?,
-                    (".reload", rest @ ([] | [_])) => {
-                        let name = rest.first().copied().unwrap_or(current.as_str()).to_string();
-                        match service.reload(&name) {
-                            Ok((entry, invalidated)) => frame.write_ok(
-                                writer,
-                                &format!(
-                                    "reloaded {name}: epoch {}, {invalidated} plan(s) invalidated",
-                                    entry.epoch()
-                                ),
-                            )?,
-                            Err(e) => write_err(writer, &e.to_string())?,
-                        }
-                    }
-                    (".reload", _) => write_err(writer, "usage: .reload [<name>]")?,
-                    (".drop", [name]) => {
-                        if *name == current {
-                            write_err(
-                                writer,
-                                &format!(
-                                    "cannot drop the session's current database {name:?}; .use another first"
-                                ),
-                            )?;
-                        } else {
-                            match service.drop_database(name) {
-                                Ok((plans, entries)) => frame.write_ok(
-                                    writer,
-                                    &format!(
-                                        "dropped {name}: {plans} plan(s), {entries} match entr(ies) purged"
-                                    ),
-                                )?,
-                                Err(e) => write_err(writer, &e.to_string())?,
-                            }
-                        }
-                    }
-                    (".drop", _) => write_err(writer, "usage: .drop <name>")?,
-                    (".insert", _) => {
-                        let tail = dot.strip_prefix(".insert").expect("matched cmd");
-                        match split_words(tail, 2) {
-                            (head, xml) if head.len() == 2 && !xml.is_empty() => {
-                                match head[1].parse::<u32>() {
-                                    Ok(parent) => {
-                                        let op = UpdateOp::Insert {
-                                            doc: head[0].to_string(),
-                                            parent,
-                                            xml: xml.to_string(),
-                                        };
-                                        run_update(service, writer, &mut frame, &current, &op)?;
-                                    }
-                                    Err(_) => {
-                                        write_err(writer, "parent must be a pre ordinal (u32)")?
-                                    }
-                                }
-                            }
-                            _ => write_err(
-                                writer,
-                                "usage: .insert <doc> <parent-ord> <xml-fragment>",
-                            )?,
-                        }
-                    }
-                    (".explain", _) => {
-                        let tail = dot.strip_prefix(".explain").expect("matched cmd").trim_start();
-                        if tail.is_empty() {
-                            write_err(writer, "usage: .explain <query>")?;
-                        } else {
-                            match service.explain(&current, tail) {
-                                Ok(report) => frame.write_ok(writer, &report)?,
-                                Err(e) => write_err(writer, &e.to_string())?,
-                            }
-                        }
-                    }
-                    (".delete", [doc, ord]) => match ord.parse::<u32>() {
-                        Ok(pre) => {
-                            let op = UpdateOp::Delete { doc: doc.to_string(), pre };
-                            run_update(service, writer, &mut frame, &current, &op)?;
-                        }
-                        Err(_) => write_err(writer, "ord must be a pre ordinal (u32)")?,
-                    },
-                    (".delete", _) => write_err(writer, "usage: .delete <doc> <ord>")?,
-                    (".settext", _) => {
-                        let tail = dot.strip_prefix(".settext").expect("matched cmd");
-                        match split_words(tail, 2) {
-                            (head, text) if head.len() == 2 => match head[1].parse::<u32>() {
-                                Ok(pre) => {
-                                    let op = UpdateOp::SetText {
-                                        doc: head[0].to_string(),
-                                        pre,
-                                        text: text.to_string(),
-                                    };
-                                    run_update(service, writer, &mut frame, &current, &op)?;
-                                }
-                                Err(_) => write_err(writer, "ord must be a pre ordinal (u32)")?,
-                            },
-                            _ => write_err(writer, "usage: .settext <doc> <ord> [<text>]")?,
-                        }
-                    }
-                    _ => write_err(writer, &format!("unknown command: {dot}"))?,
+        if request.is_empty() {
+            continue;
+        }
+        match session.answer(request) {
+            ControlFlow::Continue(frame) => session.write(writer, &frame)?,
+            ControlFlow::Break(last) => {
+                if let Some(frame) = last {
+                    session.write(writer, &frame)?;
                 }
-            }
-            query => {
-                served += 1;
-                match service.execute_on(&current, query) {
-                    Ok(resp) => frame.write_ok(writer, &resp.output)?,
-                    Err(e @ ServiceError::ShuttingDown) => {
-                        write_err(writer, &e.to_string())?;
-                        return Ok(served);
-                    }
-                    Err(e) => write_err(writer, &e.to_string())?,
-                }
+                return Ok(session.served);
             }
         }
     }

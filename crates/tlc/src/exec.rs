@@ -247,56 +247,6 @@ pub fn match_chain_key(plan: &Plan) -> Option<String> {
     }
 }
 
-/// Every match-cache key an execution of `plan` can probe or populate: the
-/// [`match_chain_key`] of each cacheable node anywhere in the plan tree
-/// (the executor probes at every level of a chain, so inner chain keys are
-/// live entries too). Sorted and deduplicated.
-///
-/// This is the enumeration the query service uses to *carry* match-cache
-/// entries across an update epoch: for a cached plan whose
-/// [`crate::Footprint`] is provably disjoint from a mutation, these are
-/// exactly the keys whose entries remain valid.
-pub fn match_chain_keys(plan: &Plan) -> Vec<String> {
-    let mut keys = Vec::new();
-    collect_chain_keys(plan, &mut keys);
-    keys.sort();
-    keys.dedup();
-    keys
-}
-
-fn collect_chain_keys(plan: &Plan, out: &mut Vec<String>) {
-    if let Some(key) = match_chain_key(plan) {
-        out.push(key);
-    }
-    match plan {
-        Plan::Select { input, .. } => {
-            if let Some(input) = input {
-                collect_chain_keys(input, out);
-            }
-        }
-        Plan::Filter { input, .. }
-        | Plan::Project { input, .. }
-        | Plan::DupElim { input, .. }
-        | Plan::Aggregate { input, .. }
-        | Plan::Construct { input, .. }
-        | Plan::Sort { input, .. }
-        | Plan::Flatten { input, .. }
-        | Plan::Shadow { input, .. }
-        | Plan::Illuminate { input, .. }
-        | Plan::GroupBy { input, .. }
-        | Plan::Materialize { input, .. } => collect_chain_keys(input, out),
-        Plan::Join { left, right, .. } => {
-            collect_chain_keys(left, out);
-            collect_chain_keys(right, out);
-        }
-        Plan::Union { inputs, .. } => {
-            for input in inputs {
-                collect_chain_keys(input, out);
-            }
-        }
-    }
-}
-
 /// Every match-cache key an execution of `plan` can touch, paired with the
 /// precise [`crate::Footprint`] of exactly the chain that entry answers
 /// for. A chain's footprint is a subset of the whole plan's, so the query

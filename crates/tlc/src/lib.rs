@@ -91,8 +91,8 @@ pub use analyze::{
 pub use error::{Error, Result};
 pub use exec::{
     check_conformance, execute, execute_to_string, execute_traced, execute_with_ctx,
-    execute_with_deadline, match_chain_footprints, match_chain_key, match_chain_keys, render_trace,
-    ExecCtx, MatchCache, OpTrace, CACHE_HIT_MARK,
+    execute_with_deadline, match_chain_footprints, match_chain_key, render_trace, ExecCtx,
+    MatchCache, OpTrace, CACHE_HIT_MARK,
 };
 pub use generator::{random_plan, GenPlan};
 pub use lint::{lint, Lint, LintCode};

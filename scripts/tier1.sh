@@ -97,6 +97,25 @@ grep -q 'restored 1 database(s) from manifest' "$restart_out"
 grep -q 'tiny: epoch 2' "$restart_out"
 echo "tier1: update + manifest smoke test passed"
 
+# Shell smoke: tlc-shell answers its catalog and update commands through
+# the protocol's session on an in-process service, so an update at the
+# prompt must print the protocol's commit line (with carry counts), the
+# next local query must see the inserted fragment, and `.metrics` must
+# report the commit per database.
+shell_out="$smoke_dir/shell.txt"
+{
+    printf '.open tiny %s\n' "$tiny"
+    printf 'FOR $n IN document("auction.xml")//note RETURN $n;\n'
+    printf '.insert auction.xml 32 <note>shell</note>\n'
+    printf 'FOR $n IN document("auction.xml")//note RETURN $n;\n'
+    printf '.metrics\n'
+    printf '.quit\n'
+} | ./target/release/tlc-shell --factor 0.001 > "$shell_out" 2>/dev/null
+grep -Eq 'updated tiny: epoch 1, \+1/-0 node\(s\), [0-9]+ plan\(s\) and [0-9]+ match entr\(ies\) carried' "$shell_out"
+grep -q '<note>shell</note>' "$shell_out"
+grep -q 'db tiny: 1 update(s)' "$shell_out"
+echo "tier1: shell smoke test passed"
+
 # Mixed read/write experiment: every read byte-checked against a
 # reparse-from-scratch reference, store invariants verified after every
 # write. The binary exits non-zero on any mismatch, error, or check
