@@ -5,25 +5,12 @@
 //! experiments fig16 [--factor F]
 //! experiments fig17 [--factors F1,F2,...]
 //! experiments stats [--factor F]     # per-engine ExecStats (redundancy metrics)
-//! experiments concurrent [--factor F] [--threads N] [--rounds R] [--json FILE]
-//! experiments batch [--factor F] [--clients N] [--requests R] [--seed S] [--json FILE]
 //! experiments rw [--factor F] [--ops N] [--seed S] [--write-fractions F1,F2,...] [--json FILE]
 //! experiments hotswap [--factor F] [--threads N] [--rounds R] [--swap-ms MS] [--json FILE]
 //! experiments lintcheck [--factor F] [--plans N] [--seed S] [--json FILE]
 //! experiments check [--factor F]     # store invariant check on generated data
 //! experiments all   [--factor F]
 //! ```
-//!
-//! `concurrent` drives the query service from N client threads (default 4)
-//! replaying the full workload R times each, and reports QPS and exact
-//! latency percentiles with the plan cache warm versus compiling every
-//! query from scratch.
-//!
-//! `batch` replays a seeded skewed query mix (a hot set takes most of the
-//! traffic) from N closed-loop clients through the default match-cached
-//! service and through an uncached one (match cache off), byte-checking
-//! every answer against a single-threaded reference. Exits non-zero on
-//! any mismatch, failed request, or a cold match cache.
 //!
 //! `rw` drives a seeded mixed read/write stream through the in-place
 //! update engine at each configured write fraction: writes go through the
@@ -32,9 +19,7 @@
 //! byte-checked against a from-scratch reference obtained by serializing
 //! the current snapshot back to XML and reparsing it. Exits non-zero on
 //! any mismatch, failed op, or store-invariant violation. `--json FILE`
-//! additionally writes the machine-readable report (`BENCH_rw.json` in
-//! CI); `batch --json FILE` does the same for its comparison
-//! (`BENCH_batch.json`).
+//! additionally writes the machine-readable report (`BENCH_rw.json`).
 //!
 //! `hotswap` soaks the catalog's epoch-versioned snapshot swap: clients
 //! replay the workload while a background thread republishes the database
@@ -49,9 +34,12 @@
 //! mutation, and match-cache transparency (no cache, cold cache and warm
 //! cache answer byte-identically). Exits non-zero on any soundness violation.
 //!
-//! `fig15 --json`, `concurrent --json` and `hotswap --json` write
-//! machine-readable reports (`BENCH_fig15.json`, `BENCH_concurrent.json`,
-//! `BENCH_hotswap.json` in CI), mirroring `batch`/`rw`.
+//! `fig15 --json` and `hotswap --json` write machine-readable reports
+//! (`BENCH_fig15.json`, `BENCH_hotswap.json`), mirroring `rw`.
+//!
+//! Serving throughput and latency are not measured here: the serving
+//! benchmark is `perfbench` (see `BENCHMARK.json`), and tier 1 gates on
+//! its deterministic counters (`scripts/check_counters.sh`).
 
 use baselines::Engine;
 use bench::{
@@ -59,12 +47,6 @@ use bench::{
     FIG17_FACTORS,
 };
 use std::time::Duration;
-
-// Measure, don't estimate: the experiment driver counts heap allocations
-// (one relaxed atomic per alloc), so `batch --json` reports measured
-// allocations per request and scripts/check_qps.sh can gate on the count.
-#[global_allocator]
-static COUNTING_ALLOC: bench::alloc::CountingAlloc = bench::alloc::CountingAlloc;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -83,31 +65,6 @@ fn main() {
         "fig16" => run_fig16(factor, budget),
         "fig17" => run_fig17(&factors, budget),
         "stats" => run_stats(factor),
-        "concurrent" => {
-            let threads = flag_value(&args, "--threads").and_then(|v| v.parse().ok()).unwrap_or(4);
-            let rounds = flag_value(&args, "--rounds").and_then(|v| v.parse().ok()).unwrap_or(10);
-            // Default to a small database: serving is lookup-style there
-            // and the compile share of a request (what the cache removes)
-            // is at its most visible.
-            let factor =
-                flag_value(&args, "--factor").and_then(|v| v.parse().ok()).unwrap_or(0.0005);
-            run_concurrent(factor, threads, rounds, flag_value(&args, "--json"));
-        }
-        "batch" => {
-            let clients = flag_value(&args, "--clients").and_then(|v| v.parse().ok()).unwrap_or(8);
-            // Enough requests per client that the cold misses of the first
-            // pass are amortized and the steady-state hit rate dominates.
-            let requests =
-                flag_value(&args, "--requests").and_then(|v| v.parse().ok()).unwrap_or(120);
-            let seed = flag_value(&args, "--seed").and_then(|v| v.parse().ok()).unwrap_or(7);
-            // Small database by default: that's the serving regime where
-            // pattern matching dominates the request and the match cache's
-            // effect is cleanly visible.
-            let factor =
-                flag_value(&args, "--factor").and_then(|v| v.parse().ok()).unwrap_or(0.0005);
-            let json = flag_value(&args, "--json");
-            run_batch(factor, clients, requests, seed, json);
-        }
         "rw" => {
             let ops = flag_value(&args, "--ops").and_then(|v| v.parse().ok()).unwrap_or(200);
             let seed = flag_value(&args, "--seed").and_then(|v| v.parse().ok()).unwrap_or(11);
@@ -156,7 +113,7 @@ fn main() {
         }
         other => {
             eprintln!(
-                "unknown command {other:?}; use fig15|fig16|fig17|stats|concurrent|batch|rw|hotswap|lintcheck|check|all"
+                "unknown command {other:?}; use fig15|fig16|fig17|stats|rw|hotswap|lintcheck|check|all"
             );
             std::process::exit(2);
         }
@@ -187,50 +144,6 @@ fn run_fig16(factor: f64, budget: Duration) {
 fn run_fig17(factors: &[f64], budget: Duration) {
     let rows = fig17(factors, budget);
     print!("{}", render_fig17(&rows, factors));
-}
-
-/// Concurrent service load: QPS and exact latency percentiles, plan cache
-/// warm versus compile-every-time.
-fn run_concurrent(factor: f64, threads: usize, rounds: usize, json: Option<&str>) {
-    eprintln!("generating XMark factor {factor} ...");
-    let db = std::sync::Arc::new(setup(factor));
-    eprintln!(
-        "database: {} nodes; {threads} client threads x {rounds} rounds of {} queries",
-        db.node_count(),
-        queries::all_queries().len()
-    );
-    let (cached, uncached) = bench::concurrent::cached_vs_uncached(db, threads, rounds);
-    print!("{}", bench::concurrent::render_comparison(&cached, &uncached, factor));
-    if let Some(path) = json {
-        write_json(path, &bench::concurrent::comparison_json(&cached, &uncached, factor, rounds));
-    }
-}
-
-/// Match-cached service versus uncached execution on a seeded skewed mix,
-/// every answer byte-checked. Exits non-zero if any answer mismatched the
-/// single-threaded reference, any request failed, or the match cache
-/// never hit (the regression CI guards against).
-fn run_batch(factor: f64, clients: usize, requests: usize, seed: u64, json: Option<&str>) {
-    eprintln!(
-        "generating XMark factor {factor}; {clients} clients x {requests} requests, seed {seed} ..."
-    );
-    let report = bench::batch::cached_vs_uncached(factor, clients, requests, seed);
-    print!("{}", report.render(factor));
-    if let Some(path) = json {
-        write_json(path, &report.to_json(factor, clients, requests, seed));
-    }
-    if !report.clean() {
-        eprintln!(
-            "batch run FAILED: {} mismatch(es), {} / {} error(s)",
-            report.mismatches, report.cached.errors, report.uncached.errors
-        );
-        std::process::exit(1);
-    }
-    if report.hit_rate <= 0.0 {
-        eprintln!("batch run FAILED: the match cache never hit on the hot set");
-        std::process::exit(1);
-    }
-    println!("batch run clean: every answer matched the single-threaded reference");
 }
 
 fn write_json(path: &str, doc: &str) {

@@ -1,23 +1,19 @@
-//! Concurrent load generation against the query service.
+//! The hot-swap soak: correctness of the catalog's epoch-versioned
+//! snapshot swap under concurrent load.
 //!
-//! Replays the Figure-15 workload (the full evaluation suite) from N
-//! client threads against one shared [`service::Service`], and reports
-//! throughput plus a latency distribution. Latencies here are *exact*
-//! (every request's duration is kept and sorted), unlike the service's own
-//! bucketed histogram — the load generator is the measuring instrument,
-//! the histogram is the cheap always-on telemetry.
+//! [`hot_swap_soak`] is the gauntlet: client threads hammer one shared
+//! [`service::Service`] while a background thread keeps republishing the
+//! default database, and every response is byte-compared against a
+//! single-threaded reference for the snapshot the service *says* it ran on
+//! (the response's epoch picks the reference). Any failed request or any
+//! answer from the wrong snapshot is a defect, not noise.
+//! [`hot_swap_soak_with`] runs the same soak with an explicit service
+//! configuration and, optionally, a seeded skewed query mix
+//! ([`skewed_pick`]) in place of the round-robin sweep.
 //!
-//! The second entry point, [`cached_vs_uncached`], quantifies what the
-//! plan cache buys: the same workload through the same service, with the
-//! cache warm versus a cache too small to ever hit (compile every time).
-//!
-//! The third, [`hot_swap_soak`], is the correctness gauntlet for the
-//! catalog's epoch-versioned hot swap: client threads hammer the service
-//! while a background thread keeps republishing the default database, and
-//! every response is byte-compared against a single-threaded reference for
-//! the snapshot the service *says* it ran on (the response's epoch picks
-//! the reference). Any failed request or any answer from the wrong
-//! snapshot is a defect, not noise.
+//! This module measures no throughput or latency: the serving benchmark
+//! is `perfbench` (see `BENCHMARK.json`), whose `hot_mix` workload replays
+//! the same skewed mix end to end over the wire.
 
 use baselines::Engine;
 use queries::all_queries;
@@ -26,128 +22,36 @@ use service::{Service, ServiceConfig};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use xmark::rng::{RngExt, SeedableRng, StdRng};
 use xmldb::Database;
 
-use crate::batch::{client_rng, skewed_pick};
+/// Percentage of the skewed mix's traffic aimed at the hot set.
+const HOT_TRAFFIC_PCT: u32 = 80;
 
-/// One load run's results.
-#[derive(Debug, Clone)]
-pub struct LoadReport {
-    /// Client threads that generated the load.
-    pub threads: usize,
-    /// Requests that completed successfully.
-    pub ok: u64,
-    /// Requests that failed (compile/execute/deadline/rejected).
-    pub errors: u64,
-    /// Wall-clock time for the whole run.
-    pub elapsed: Duration,
-    /// Sorted per-request latencies (successful requests only).
-    pub latencies: Vec<Duration>,
-}
+/// Workload indices forming the hot set — x15, x16, x17 and x10a:
+/// templates whose cost is dominated by their cacheable Select/Filter
+/// spine (deep path chains, the x10a twig) rather than by serialization,
+/// so a warm match cache removes most of the request. Fixed, so every run
+/// agrees on what "hot" means (`perfbench`'s `hot_mix` uses the same set).
+const HOT_SET: [usize; 4] = [14, 15, 16, 22];
 
-impl LoadReport {
-    /// Successful requests per wall-clock second.
-    pub fn qps(&self) -> f64 {
-        if self.elapsed.is_zero() {
-            return 0.0;
-        }
-        self.ok as f64 / self.elapsed.as_secs_f64()
-    }
-
-    /// Exact latency quantile over the successful requests (`q` in `[0,1]`).
-    pub fn quantile(&self, q: f64) -> Duration {
-        if self.latencies.is_empty() {
-            return Duration::ZERO;
-        }
-        let rank = ((self.latencies.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
-        self.latencies[rank]
-    }
-
-    /// One-line summary: `threads=8 ok=184 err=0 qps=412.3 p50=1.2ms p95=8.0ms max=11.1ms`.
-    pub fn summary(&self) -> String {
-        format!(
-            "threads={} ok={} err={} qps={:.1} p50={:.1?} p95={:.1?} max={:.1?}",
-            self.threads,
-            self.ok,
-            self.errors,
-            self.qps(),
-            self.quantile(0.50),
-            self.quantile(0.95),
-            self.latencies.last().copied().unwrap_or(Duration::ZERO),
-        )
+/// Draws the next query index of the skewed mix: `HOT_TRAFFIC_PCT`% of
+/// draws pick uniformly from `HOT_SET`, the rest uniformly from the whole
+/// workload. Falls back to uniform when the workload is smaller than the
+/// hot set assumes.
+pub fn skewed_pick(rng: &mut StdRng, n: usize) -> usize {
+    let max_hot = HOT_SET.iter().copied().max().expect("hot set non-empty");
+    if n > max_hot && rng.random_range(0..100u32) < HOT_TRAFFIC_PCT {
+        HOT_SET[rng.random_range(0..HOT_SET.len())]
+    } else {
+        rng.random_range(0..n)
     }
 }
 
-/// Replays the full workload `rounds` times from each of `threads` client
-/// threads against `svc`. Requests run one at a time per client (closed
-/// loop); the service's worker pool is the concurrency limiter.
-pub fn run_load(svc: &Service, threads: usize, rounds: usize) -> LoadReport {
-    let texts: Vec<&'static str> = all_queries().iter().map(|q| q.text).collect();
-    let errors = AtomicU64::new(0);
-    let started = Instant::now();
-    let mut latencies: Vec<Duration> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let texts = &texts;
-                let errors = &errors;
-                s.spawn(move || {
-                    let mut mine = Vec::with_capacity(rounds * texts.len());
-                    for round in 0..rounds {
-                        // Stagger start positions so the clients don't hit
-                        // the same query in lock-step.
-                        let offset = (t + round) % texts.len();
-                        for i in 0..texts.len() {
-                            let q = texts[(offset + i) % texts.len()];
-                            let begun = Instant::now();
-                            match svc.execute(q) {
-                                Ok(_) => mine.push(begun.elapsed()),
-                                Err(_) => {
-                                    errors.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
-                        }
-                    }
-                    mine
-                })
-            })
-            .collect();
-        handles.into_iter().flat_map(|h| h.join().expect("client thread")).collect()
-    });
-    let elapsed = started.elapsed();
-    latencies.sort_unstable();
-    LoadReport {
-        threads,
-        ok: latencies.len() as u64,
-        errors: errors.into_inner(),
-        elapsed,
-        latencies,
-    }
-}
-
-/// Cached-vs-uncached comparison on one database, both sides through
-/// identical service machinery so plan reuse is the *only* difference:
-///
-/// * **cached** — a normally-sized plan cache, warmed with one full pass,
-///   so every measured request is a cache hit;
-/// * **uncached** — a capacity-1 cache cycled by the 23-query workload, so
-///   every request misses and recompiles (the compile-every-time life).
-///
-/// Returns `(cached, uncached)`. The gap this shows is the compile share
-/// of the request — large for small databases (lookup-style serving),
-/// shrinking as execution grows with the scale factor.
-pub fn cached_vs_uncached(
-    db: Arc<Database>,
-    threads: usize,
-    rounds: usize,
-) -> (LoadReport, LoadReport) {
-    let config = ServiceConfig { workers: threads, queue_depth: threads * 4, ..Default::default() };
-    let warm_svc = Service::new(Arc::clone(&db), config.clone());
-    let _warm = run_load(&warm_svc, 1, 1); // one pass fills the plan cache
-    let cached = run_load(&warm_svc, threads, rounds);
-    let cold_svc =
-        Service::new(Arc::clone(&db), ServiceConfig { plan_cache_capacity: 1, ..config });
-    let uncached = run_load(&cold_svc, threads, rounds);
-    (cached, uncached)
+/// Per-client RNG: one base seed, decorrelated per client with a splitmix
+/// increment so runs are reproducible but clients do not march in step.
+pub fn client_rng(seed: u64, client: usize) -> StdRng {
+    StdRng::seed_from_u64(seed ^ (client as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
 /// One hot-swap soak run's results.
@@ -212,7 +116,7 @@ pub fn hot_swap_soak(
 /// per-request mode — the epoch-parity byte check is the property test that
 /// a cached pattern match never survives a snapshot swap. With
 /// `mix_seed: Some(seed)` each client replays the reproducible skewed mix
-/// of [`crate::batch`] instead of the round-robin sweep, so hot templates
+/// of [`skewed_pick`] instead of the round-robin sweep, so hot templates
 /// are in flight on several clients at once while the snapshot changes
 /// under them — the worst case for a stale cache entry.
 pub fn hot_swap_soak_with(
@@ -308,25 +212,6 @@ pub fn hot_swap_soak_with(
     }
 }
 
-/// The full `BENCH_concurrent.json` document for one cached-vs-uncached
-/// comparison (hand-rolled; the workspace carries no serialization
-/// dependency).
-pub fn comparison_json(
-    cached: &LoadReport,
-    uncached: &LoadReport,
-    factor: f64,
-    rounds: usize,
-) -> String {
-    let speedup = if uncached.qps() > 0.0 { cached.qps() / uncached.qps() } else { 0.0 };
-    format!(
-        "{{\"experiment\":\"concurrent\",\"factor\":{factor},\"threads\":{},\"rounds\":{rounds},\
-         \"cached\":{},\"uncached\":{},\"speedup\":{speedup:.2}}}\n",
-        cached.threads,
-        crate::rw::load_report_json(cached),
-        crate::rw::load_report_json(uncached),
-    )
-}
-
 /// The full `BENCH_hotswap.json` document for one soak run.
 pub fn soak_json(report: &SoakReport, factor: f64, rounds: usize, swap_every: Duration) -> String {
     format!(
@@ -344,35 +229,36 @@ pub fn soak_json(report: &SoakReport, factor: f64, rounds: usize, swap_every: Du
     )
 }
 
-/// Renders the comparison as a small text table.
-pub fn render_comparison(cached: &LoadReport, uncached: &LoadReport, factor: f64) -> String {
-    let speedup = if uncached.qps() > 0.0 { cached.qps() / uncached.qps() } else { f64::INFINITY };
-    format!(
-        "Concurrent replay of the evaluation workload, XMark factor {factor}\n\
-         cached plans   : {}\n\
-         compile always : {}\n\
-         throughput gain from the plan cache: {speedup:.2}x\n",
-        cached.summary(),
-        uncached.summary(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn quantiles_are_exact_order_statistics() {
-        let report = LoadReport {
-            threads: 1,
-            ok: 4,
-            errors: 0,
-            elapsed: Duration::from_secs(1),
-            latencies: (1..=4).map(Duration::from_millis).collect(),
-        };
-        assert_eq!(report.quantile(0.0), Duration::from_millis(1));
-        assert_eq!(report.quantile(1.0), Duration::from_millis(4));
-        assert_eq!(report.qps(), 4.0);
+    fn skewed_pick_is_skewed_and_in_bounds() {
+        let mut rng = StdRng::seed_from_u64(3);
+        let n = all_queries().len();
+        let mut hot = 0u32;
+        for _ in 0..2_000 {
+            let qi = skewed_pick(&mut rng, n);
+            assert!(qi < n);
+            if HOT_SET.contains(&qi) {
+                hot += 1;
+            }
+        }
+        // 80% targeted + a sliver of uniform tail landing in the hot set.
+        assert!((1_400..1_900).contains(&hot), "hot draws: {hot}");
+        // Tiny workloads fall back to uniform without panicking.
+        for _ in 0..100 {
+            assert!(skewed_pick(&mut rng, 3) < 3);
+        }
+    }
+
+    #[test]
+    fn client_rngs_are_reproducible_and_decorrelated() {
+        let a: Vec<u64> = (0..8).map(|_| client_rng(42, 0).next_u64()).collect();
+        let b: Vec<u64> = (0..8).map(|_| client_rng(42, 0).next_u64()).collect();
+        assert_eq!(a, b);
+        assert_ne!(client_rng(42, 0).next_u64(), client_rng(42, 1).next_u64());
     }
 
     #[test]
@@ -399,16 +285,5 @@ mod tests {
             assert_eq!(report.ok, 4 * 2 * all_queries().len() as u64);
             assert!(report.swaps >= 1, "the swapper never ran");
         }
-    }
-
-    #[test]
-    fn load_run_completes_the_whole_workload() {
-        let db = Arc::new(crate::setup(0.001));
-        let svc = Service::new(Arc::clone(&db), ServiceConfig::default());
-        let report = run_load(&svc, 2, 1);
-        let expected = 2 * all_queries().len() as u64;
-        assert_eq!(report.ok + report.errors, expected);
-        assert_eq!(report.errors, 0, "workload queries must all succeed");
-        assert_eq!(report.latencies.len() as u64, report.ok);
     }
 }

@@ -19,8 +19,6 @@
 //! The same functions back both the `experiments` binary (paper-style
 //! tables on stdout) and the timed bench targets (see [`micro`]).
 
-pub mod alloc;
-pub mod batch;
 pub mod concurrent;
 pub mod lintcheck;
 pub mod micro;
@@ -30,12 +28,6 @@ use baselines::Engine;
 use queries::{all_queries, query, QuerySpec};
 use std::time::{Duration, Instant};
 use xmldb::Database;
-
-// Count heap allocations in the test build so the batch smoke can gate
-// allocations-per-request (the `experiments` binary registers its own).
-#[cfg(test)]
-#[global_allocator]
-static COUNTING_ALLOC: alloc::CountingAlloc = alloc::CountingAlloc;
 
 /// Default scale factor for the Figure 15/16 runs. The paper uses XMark
 /// factor 1 (~710 MB in TIMBER); this in-memory reproduction defaults to a

@@ -18,7 +18,6 @@
 //! every epoch without consuming the base document. The op stream is fully
 //! determined by the seed and the write fraction.
 
-use crate::concurrent::LoadReport;
 use baselines::Engine;
 use queries::all_queries;
 use service::cache::CacheStats;
@@ -238,21 +237,6 @@ pub fn exec_stats_json(s: &ExecStats) -> String {
         s.struct_cmps,
         s.match_cache_hits,
         s.match_cache_misses,
-    )
-}
-
-/// A `LoadReport` as a JSON object (QPS and exact latency quantiles).
-pub fn load_report_json(r: &LoadReport) -> String {
-    format!(
-        "{{\"threads\":{},\"ok\":{},\"errors\":{},\"qps\":{:.1},\
-         \"p50_us\":{},\"p95_us\":{},\"max_us\":{}}}",
-        r.threads,
-        r.ok,
-        r.errors,
-        r.qps(),
-        r.quantile(0.50).as_micros(),
-        r.quantile(0.95).as_micros(),
-        r.latencies.last().copied().unwrap_or(Duration::ZERO).as_micros(),
     )
 }
 
@@ -482,6 +466,15 @@ mod tests {
             run_on(db, &RwConfig { factor: 0.0005, ops: 20, seed: 3, write_fraction: 1.0 });
         assert_eq!((all_writes.writes, all_writes.reads), (20, 0));
         assert!(all_writes.clean(), "defects:\n{}", all_writes.render());
+    }
+
+    #[test]
+    fn quantiles_are_exact_order_statistics() {
+        let latencies: Vec<Duration> = (1..=4).map(Duration::from_millis).collect();
+        assert_eq!(RwReport::quantile(&latencies, 0.0), Duration::from_millis(1));
+        assert_eq!(RwReport::quantile(&latencies, 0.5), Duration::from_millis(3));
+        assert_eq!(RwReport::quantile(&latencies, 1.0), Duration::from_millis(4));
+        assert_eq!(RwReport::quantile(&[], 0.5), Duration::ZERO);
     }
 
     #[test]

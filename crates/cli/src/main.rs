@@ -34,7 +34,9 @@
 //! `tlc-serve` answers a connection. The startup database is catalog entry
 //! `main`. Queries evaluate locally on the session's current snapshot with
 //! the shell's engine (the single-threaded reference path), so `.engine`,
-//! `.explain`, `.stats` and `.analyze` apply to them. `.serve` shares that
+//! `.explain`, `.stats` and `.analyze` apply to them; they never reach the
+//! service, so `.metrics` counts commits and `.serve` traffic, not prompt
+//! queries. `.serve` shares that
 //! same service, served with the startup engine: the prompt and every
 //! connection see one catalog and each other's commits.
 //!
@@ -358,7 +360,8 @@ impl Backend for Local {
                      .insert <doc> <parent-ord> <xml>  append a fragment under a node\n\
                      .delete <doc> <ord>           delete a subtree\n\
                      .settext <doc> <ord> [<text>] replace an element's text\n\
-                     .metrics                      the service's metrics report\n\
+                     .metrics                      the service's metrics: commits and\n\
+                     \x20                             .serve traffic, not prompt queries\n\
                      .save <file.tlcx>             snapshot the current database\n\
                      .serve <host:port>            share the catalog over TCP, served\n\
                      \x20                             with the startup engine\n\

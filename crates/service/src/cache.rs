@@ -8,8 +8,10 @@
 //!
 //! **Keying.** The key is `(database name, epoch, whitespace-normalized
 //! query text)`, composed by [`plan_key`]. The text component collapses
-//! whitespace runs to one space and trims the ends, so the same query sent
-//! indented, on one line, or with trailing newlines shares one entry.
+//! whitespace runs between tokens to one space and trims the ends, so the
+//! same query sent indented, on one line, or with trailing newlines shares
+//! one entry; whitespace inside string literals and element-constructor
+//! text is kept, because it is part of the answer ([`normalize_query`]).
 //! Nothing semantic (no parse) happens during keying — a cache probe on a
 //! miss costs one string scan. The database name and **epoch** components
 //! exist because compiled plans bind the tag ids of the store they were
@@ -36,25 +38,65 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
-/// Collapses whitespace runs to single spaces and trims the ends — the
-/// cache-key canonicalization.
+/// The cache-key canonicalization: collapses each whitespace run between
+/// tokens to one space and trims the ends, so the same query sent
+/// indented, on one line, or with trailing newlines shares one entry.
+///
+/// Whitespace that is part of the query's meaning is kept verbatim:
+///
+/// * inside string literals (`"…"`, `'…'`, `“…”`);
+/// * in every stretch that starts after `>` or `}` and ends at the next
+///   `<` or `{` — where the lexer reads element-constructor text verbatim
+///   (`xquery::Lexer::raw_text_until_markup`). A `>` comparison opens such
+///   a stretch too; that costs a cache hit, never an answer.
+///
+/// A quote inside such a stretch is either constructor text or the start
+/// of a literal after a `>` comparison. The scan cannot tell which, so it
+/// keeps the rest of the text verbatim. Only ASCII whitespace collapses:
+/// it is all the lexer skips between tokens. Keeping extra whitespace is
+/// always sound, so two texts share a key only if they lex alike.
 pub fn normalize_query(text: &str) -> String {
+    enum Scan {
+        Tokens,
+        Literal(char),
+        Constructor,
+        Verbatim,
+    }
     let mut out = String::with_capacity(text.len());
-    let mut in_ws = true; // leading whitespace is dropped
+    let mut scan = Scan::Tokens;
+    let mut gap = false; // a whitespace run between tokens is pending
     for c in text.chars() {
-        if c.is_whitespace() {
-            if !in_ws {
-                out.push(' ');
-                in_ws = true;
+        match scan {
+            Scan::Tokens if c.is_ascii_whitespace() => {
+                gap = !out.is_empty();
+                continue;
             }
-        } else {
-            out.push(c);
-            in_ws = false;
+            Scan::Tokens => {
+                if gap {
+                    out.push(' ');
+                    gap = false;
+                }
+                scan = match c {
+                    '"' | '\'' => Scan::Literal(c),
+                    '\u{201c}' => Scan::Literal('\u{201d}'),
+                    '>' | '}' => Scan::Constructor,
+                    _ => Scan::Tokens,
+                };
+            }
+            Scan::Literal(close) if c == close => scan = Scan::Tokens,
+            Scan::Constructor => match c {
+                '<' | '{' => scan = Scan::Tokens,
+                '"' | '\'' | '\u{201c}' => scan = Scan::Verbatim,
+                _ => {}
+            },
+            Scan::Literal(_) | Scan::Verbatim => {}
         }
+        out.push(c);
     }
-    if out.ends_with(' ') {
-        out.pop();
-    }
+    // Trailing whitespace never matters: after the last token the lexer
+    // skips it, and inside an open literal or element the query fails to
+    // compile either way (failures are never cached).
+    out.truncate(out.trim_end_matches(|c: char| c.is_ascii_whitespace()).len());
     out
 }
 
@@ -529,6 +571,43 @@ mod tests {
         assert_eq!(normalize_query("a b"), "a b");
         assert_eq!(normalize_query(""), "");
         assert_eq!(normalize_query("   \n\t "), "");
+    }
+
+    #[test]
+    fn normalization_keeps_literal_whitespace() {
+        for (text, key) in [
+            ("$n  =  \"Ann  Lee\"  RETURN", "$n = \"Ann  Lee\" RETURN"),
+            ("$n = 'a \t b'\n", "$n = 'a \t b'"),
+            ("$n = \u{201c}a  b\u{201d}  x", "$n = \u{201c}a  b\u{201d} x"),
+            // A quote of the other kind does not close the literal.
+            ("\"it's  ok\"  x", "\"it's  ok\" x"),
+        ] {
+            assert_eq!(normalize_query(text), key, "{text:?}");
+        }
+    }
+
+    #[test]
+    fn normalization_keeps_constructor_text() {
+        for (text, key) in [
+            ("RETURN  <a>x   y</a>", "RETURN <a>x   y</a>"),
+            ("<a>  {  $p/name  }  z  </a>  ", "<a>  { $p/name }  z  </a>"),
+            ("<a  b={$x}  >  t</a>", "<a b={$x}  >  t</a>"),
+            // After a `>` comparison the whitespace is kept too: sound, if
+            // it costs a cache hit.
+            ("$a  >  5  AND  $b  <  6", "$a >  5  AND  $b  < 6"),
+            // A quote after `>` may open a literal: the rest stays verbatim.
+            ("$a > 1 AND $b = \"x <y  z\"  ", "$a > 1 AND $b = \"x <y  z\""),
+        ] {
+            assert_eq!(normalize_query(text), key, "{text:?}");
+        }
+    }
+
+    #[test]
+    fn normalization_collapses_only_ascii_whitespace() {
+        // The lexer skips ASCII whitespace only; a no-break space is part
+        // of a token, so it must not turn into a separator.
+        assert_eq!(normalize_query("a\u{a0}\u{a0}b  c"), "a\u{a0}\u{a0}b c");
+        assert_eq!(normalize_query("a\r\n\x0cb"), "a b");
     }
 
     #[test]

@@ -424,12 +424,13 @@ impl Metrics {
             rows.sort_by_key(|(_, e)| std::cmp::Reverse(e.latency.sum_micros));
             for (label, entry) in rows {
                 let h = &entry.latency;
-                let shown: String = if label.chars().count() > 60 {
-                    let head: String = label.chars().take(59).collect();
-                    format!("{head}…")
-                } else {
-                    label.to_string()
-                };
+                // Labels keep constructor-text whitespace; one row each.
+                let mut shown: String =
+                    label.chars().take(60).map(|c| if c.is_control() { ' ' } else { c }).collect();
+                if label.chars().count() > 60 {
+                    shown.pop();
+                    shown.push('…');
+                }
                 out.push_str(&format!(
                     "{:>8} {:>10} {:>10} {:>10} {:>10}  {}\n",
                     h.count(),
@@ -623,5 +624,15 @@ mod tests {
         let inner = m.inner.lock().unwrap();
         assert!(inner.per_query.len() <= MAX_QUERY_ENTRIES + 1);
         assert!(inner.per_query.contains_key("(other)"));
+    }
+
+    #[test]
+    fn per_query_rows_stay_on_one_line() {
+        let m = Metrics::new();
+        m.record_request("RETURN <a>x\n  y</a>", Duration::from_micros(10), &ExecStats::new());
+        m.record_request(&"z".repeat(70), Duration::from_micros(10), &ExecStats::new());
+        let report = m.report();
+        assert!(report.contains("  RETURN <a>x   y</a>\n"), "{report}");
+        assert!(report.contains(&format!("  {}…\n", "z".repeat(59))), "{report}");
     }
 }

@@ -53,7 +53,7 @@
 //! and update commands. [`read_response`] is the client-side frame parser.
 
 use crate::{Service, ServiceError, UpdateOp};
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 use std::ops::ControlFlow;
 use std::path::Path;
 use std::sync::Arc;
@@ -194,6 +194,13 @@ pub fn write_err(w: &mut impl Write, message: &str) -> io::Result<()> {
 }
 
 /// Reads one response frame from the server.
+///
+/// The `OK <len>` header is the peer's claim, not a promise: the body is
+/// read through `take(len + 1)` into a buffer preallocated for at most
+/// [`MAX_REQUEST_LINE`] bytes, so a huge `len` costs memory only as bytes
+/// actually arrive. A `len` that overflows, a short body
+/// ([`io::ErrorKind::UnexpectedEof`]) and a body without its trailing
+/// newline ([`io::ErrorKind::InvalidData`]) are typed errors.
 pub fn read_response(r: &mut impl BufRead) -> io::Result<Frame> {
     let mut header = String::new();
     if r.read_line(&mut header)? == 0 {
@@ -201,12 +208,17 @@ pub fn read_response(r: &mut impl BufRead) -> io::Result<Frame> {
     }
     let header = header.trim_end_matches(['\n', '\r']);
     if let Some(rest) = header.strip_prefix("OK ") {
-        let len: usize = rest
-            .parse()
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "bad OK length"))?;
-        let mut payload = vec![0u8; len + 1]; // payload + trailing newline
-        r.read_exact(&mut payload)?;
-        payload.pop();
+        let bad = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what);
+        let len: usize = rest.parse().map_err(|_| bad("bad OK length"))?;
+        let framed = len.checked_add(1).ok_or_else(|| bad("OK length overflows"))?; // + newline
+        let mut payload = Vec::with_capacity(len.min(MAX_REQUEST_LINE) + 1);
+        r.by_ref().take(framed as u64).read_to_end(&mut payload)?;
+        if payload.len() < framed {
+            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "response body cut short"));
+        }
+        if payload.pop() != Some(b'\n') {
+            return Err(bad("response body not newline-terminated"));
+        }
         String::from_utf8(payload)
             .map(Frame::Ok)
             .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "payload not UTF-8"))

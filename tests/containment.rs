@@ -1,7 +1,7 @@
 //! Failure containment in the serving layer: a panicking job must not take
-//! a worker, the service or a connection down with it, and an over-long
-//! or non-UTF-8 protocol line must be refused without ending the
-//! connection.
+//! a worker, the service or a connection down with it, an over-long or
+//! non-UTF-8 protocol line must be refused without ending the connection,
+//! and a client must turn a malformed reply frame into a typed error.
 //!
 //! The panicking jobs below print the usual panic message to stderr; that
 //! output is expected.
@@ -9,7 +9,7 @@
 use service::pool::{Pool, Reply};
 use service::protocol::{read_response, serve_connection, Frame, MAX_REQUEST_LINE};
 use service::{Service, ServiceConfig, ServiceError};
-use std::io::BufReader;
+use std::io::{BufReader, ErrorKind};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -91,4 +91,22 @@ fn malformed_request_lines_are_refused_and_the_connection_stays_open() {
         Frame::Err("request line is not valid UTF-8".into())
     );
     assert_eq!(read_response(&mut replies).unwrap(), Frame::Ok(reference));
+}
+
+#[test]
+fn malformed_reply_frames_are_typed_errors() {
+    let read = |wire: &str| read_response(&mut BufReader::new(wire.as_bytes())).unwrap_err();
+    // `len + 1` would overflow.
+    assert_eq!(read(&format!("OK {}\nx\n", usize::MAX)).kind(), ErrorKind::InvalidData);
+    // A huge claimed length with a short body: the claim is not allocated
+    // up front, and the missing bytes are an early end of stream.
+    assert_eq!(read("OK 1000000000000\nshort\n").kind(), ErrorKind::UnexpectedEof);
+    assert_eq!(read("OK 5\nab").kind(), ErrorKind::UnexpectedEof);
+    // The body is there but its trailing newline is not.
+    assert_eq!(read("OK 3\nabcd\n").kind(), ErrorKind::InvalidData);
+    assert_eq!(read("OK x\n").kind(), ErrorKind::InvalidData);
+    // A well-formed frame after the checks above still parses.
+    let mut ok = BufReader::new(&b"OK 3\nabc\nOK 0\n\n"[..]);
+    assert_eq!(read_response(&mut ok).unwrap(), Frame::Ok("abc".into()));
+    assert_eq!(read_response(&mut ok).unwrap(), Frame::Ok(String::new()));
 }

@@ -78,6 +78,48 @@ fn service_cold_and_warm_answers_match_the_reference() {
     }
 }
 
+/// Spellings that differ only in whitespace inside a string literal or
+/// inside element-constructor text mean different queries, so they must
+/// not share a plan-cache entry. Each pair runs through one service in
+/// both orders; every answer must equal the single-threaded reference.
+#[test]
+fn whitespace_inside_literals_and_constructor_text_keys_apart() {
+    let mut db = xmldb::Database::new();
+    db.load_xml(
+        "auction.xml",
+        "<site><person><name>Ann  Lee</name></person><person><name>Ann Lee</name></person></site>",
+    )
+    .unwrap();
+    let db = std::sync::Arc::new(db);
+    let by_name = |lit: &str| {
+        format!(r#"FOR $p IN document("auction.xml")//person WHERE $p/name = {lit} RETURN $p/name"#)
+    };
+    let build = |text: &str| format!(r#"FOR $p IN document("auction.xml")//person RETURN {text}"#);
+    let pairs = [
+        (by_name(r#""Ann Lee""#), by_name(r#""Ann  Lee""#)),
+        (by_name("'Ann Lee'"), by_name("'Ann  Lee'")),
+        (build("<a>x y</a>"), build("<a>x   y</a>")),
+        (build("<a>x y {$p/name}</a>"), build("<a>x\n  y {$p/name}</a>")),
+    ];
+    for (first, second) in &pairs {
+        for order in [[first, second], [second, first]] {
+            let svc = service::Service::new(std::sync::Arc::clone(&db), Default::default());
+            for query in order {
+                let reference = baselines::run(Engine::Tlc, query, &db).unwrap();
+                let got = svc.execute(query).unwrap();
+                assert_eq!(got.output, reference, "{query}");
+                assert!(!got.cache_hit, "{query} was served another spelling's plan");
+            }
+            assert_eq!(svc.cache_stats().len, 2, "{order:?}");
+        }
+    }
+    // The references really differ, so sharing an entry would be visible.
+    let answer = |q: &str| baselines::run(Engine::Tlc, q, &db).unwrap();
+    for (first, second) in &pairs {
+        assert_ne!(answer(first), answer(second), "{first}");
+    }
+}
+
 #[test]
 fn queries_produce_shapely_output() {
     let db = xmark_db();

@@ -28,7 +28,8 @@ fn tiny_file(tag: &str) -> PathBuf {
 
 /// Replaces every duration token (`20µs`, `mean=1.5ms`, ...) of a metrics
 /// report with `<t>` and collapses the table padding around it, so two
-/// reports of the same work compare equal.
+/// reports of the same work compare equal. The per-query table is ordered
+/// by total latency, so its rows are put in text order too.
 fn mask_durations(text: &str) -> String {
     let is_duration = |v: &str| {
         ["ns", "µs", "ms", "s"].iter().any(|unit| {
@@ -41,10 +42,21 @@ fn mask_durations(text: &str) -> String {
         None if is_duration(token) => "<t>".to_string(),
         _ => token.to_string(),
     };
-    text.lines()
+    let mut lines: Vec<String> = text
+        .lines()
         .map(|line| line.split_whitespace().map(mask).collect::<Vec<_>>().join(" "))
-        .collect::<Vec<_>>()
-        .join("\n")
+        .collect();
+    if let Some(header) = lines.iter().position(|l| l == "count mean p50 p95 max query") {
+        let rows = &mut lines[header + 1..];
+        let len = rows
+            .iter()
+            .take_while(|l| {
+                l.split_once(" <t> <t> <t> <t> ").is_some_and(|(n, _)| n.parse::<u64>().is_ok())
+            })
+            .count();
+        rows[..len].sort();
+    }
+    lines.join("\n")
 }
 
 fn masked(frame: Frame) -> Frame {
