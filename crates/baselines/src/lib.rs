@@ -110,14 +110,17 @@ pub fn plan_for(engine: Engine, query: &str, db: &Database) -> Result<Plan> {
 /// Runs a query on any engine, returning its serialized result.
 pub fn run(engine: Engine, query: &str, db: &Database) -> Result<String> {
     match engine {
-        Engine::Nav => {
-            let ast =
-                xquery::parse(query).map_err(|e| tlc::Error::Unsupported(format!("parse: {e}")))?;
-            Ok(evaluate_nav(db, &ast)?.0)
-        }
+        Engine::Nav => Ok(run_nav(query, db)?.0),
         _ => {
             let plan = plan_for(engine, query, db)?;
             tlc::execute_to_string(db, &plan)
         }
     }
+}
+
+/// Parses and runs a query on the navigational engine, returning its
+/// serialized result and traversal counters.
+pub fn run_nav(query: &str, db: &Database) -> Result<(String, NavStats)> {
+    let ast = xquery::parse(query).map_err(|e| tlc::Error::Unsupported(format!("parse: {e}")))?;
+    evaluate_nav(db, &ast)
 }

@@ -9,16 +9,10 @@
 //! `tlc-serve --load` and `.open` do); without it an XMark database is
 //! generated at `--factor` (default 0.01).
 //!
-//! Type a query (multi-line; finish with an empty line or `;`), or one of
-//! the commands:
+//! Type a query (multi-line; finish with an empty line or `;`; the lines
+//! are joined into one request), or one of the commands:
 //!
 //! ```text
-//! .engine tlc|opt|costed|gtp|tax|nav  switch the prompt's evaluator
-//! .explain [<query>]            toggle plan display, or print the static
-//!                               analysis report (type, footprint, liveness,
-//!                               lints) for one query without running it
-//! .stats                        toggle execution counters
-//! .analyze                      toggle per-operator timings
 //! .bench <name>                 run a Figure 15 workload query by name
 //! .queries                      list the workload queries
 //! .check                        verify store invariants and indexes
@@ -27,22 +21,19 @@
 //! .help  .quit
 //! ```
 //!
-//! The catalog and update commands — `.open .use .reload .drop .catalog
-//! .insert .delete .settext .metrics` — are the query service's own: the
-//! shell builds one in-process [`service::Service`] at startup and answers
-//! them through a [`service::protocol::Session`] on it, exactly as
-//! `tlc-serve` answers a connection. The startup database is catalog entry
-//! `main`. Queries evaluate locally on the session's current snapshot with
-//! the shell's engine (the single-threaded reference path), so `.engine`,
-//! `.explain`, `.stats` and `.analyze` apply to them; they never reach the
-//! service, so `.metrics` counts commits and `.serve` traffic, not prompt
-//! queries. `.serve` shares that
-//! same service, served with the startup engine: the prompt and every
-//! connection see one catalog and each other's commits.
+//! Every other line — each query, `.engine`, `.explain <query>`, `.stats`,
+//! `.analyze`, and the catalog, update and `.metrics` commands — is the
+//! query service's own: the shell builds one in-process
+//! [`service::Service`] at startup (with `--engine` as its engine) and
+//! answers those lines through a [`service::protocol::Session`] on it,
+//! exactly as `tlc-serve` answers a connection. The startup database is
+//! catalog entry `main`. So `.metrics` counts prompt queries, and prompt
+//! queries warm the caches that commits carry. `.serve` shares that same
+//! service: the prompt and every connection see one catalog, one set of
+//! caches and each other's commits.
 //!
-//! With `--connect` the same prompt sends every request to a `tlc-serve`
-//! process instead (a multi-line query is joined into one line) and prints
-//! its replies.
+//! With `--connect` the same prompt sends every line to a `tlc-serve`
+//! process instead and prints its replies.
 
 use baselines::Engine;
 use service::catalog::DEFAULT_DB;
@@ -77,14 +68,13 @@ fn print_frame(frame: Frame) {
     }
 }
 
-/// What the prompt drives: the in-process service, or a remote `tlc-serve`.
+/// The transport the prompt drives: the in-process service, or a remote
+/// `tlc-serve`.
 trait Backend {
     /// The prompt shown before a new request.
     fn prompt(&self) -> String;
-    /// Handles one dot-command other than `.quit`.
-    fn command(&mut self, cmd: &str) -> io::Result<()>;
-    /// Runs one query (possibly spanning lines).
-    fn query(&mut self, query: &str) -> io::Result<()>;
+    /// Sends one request line other than `.quit` and returns its reply.
+    fn send(&mut self, line: &str) -> io::Result<Frame>;
     /// Called once when the prompt ends, on `.quit` or end of input.
     fn quit(&mut self) {}
 }
@@ -109,25 +99,28 @@ fn repl(mut backend: impl Backend) -> i32 {
             break;
         }
         let trimmed = line.trim();
-        let outcome = if buffer.is_empty() && trimmed.starts_with('.') {
+        let request = if buffer.is_empty() && trimmed.starts_with('.') {
             if matches!(trimmed, ".quit" | ".exit") {
                 break;
             }
-            backend.command(trimmed)
+            trimmed.to_string()
         } else if trimmed.is_empty() || trimmed.ends_with(';') {
             buffer.push_str(trimmed.trim_end_matches(';'));
             let query = std::mem::take(&mut buffer);
             match query.trim() {
                 "" => continue,
-                query => backend.query(query),
+                query => query.replace(['\n', '\r'], " "),
             }
         } else {
             buffer.push_str(&line);
             continue;
         };
-        if let Err(e) = outcome {
-            eprintln!("connection lost: {e}");
-            return 1;
+        match backend.send(&request) {
+            Ok(frame) => print_frame(frame),
+            Err(e) => {
+                eprintln!("connection lost: {e}");
+                return 1;
+            }
         }
         if eof {
             break;
@@ -152,14 +145,6 @@ impl Remote {
         eprintln!("connected to {addr}; queries end with `;` or an empty line, .quit to leave");
         Ok(Remote { addr: addr.to_string(), reader, writer })
     }
-
-    /// Sends one request line and prints the reply frame.
-    fn request(&mut self, line: &str) -> io::Result<()> {
-        self.writer.write_all(format!("{line}\n").as_bytes())?;
-        self.writer.flush()?;
-        print_frame(read_response(&mut self.reader)?);
-        Ok(())
-    }
 }
 
 impl Backend for Remote {
@@ -167,12 +152,10 @@ impl Backend for Remote {
         format!("tlc@{}> ", self.addr)
     }
 
-    fn command(&mut self, cmd: &str) -> io::Result<()> {
-        self.request(cmd)
-    }
-
-    fn query(&mut self, query: &str) -> io::Result<()> {
-        self.request(&query.replace(['\n', '\r'], " "))
+    fn send(&mut self, line: &str) -> io::Result<Frame> {
+        self.writer.write_all(format!("{line}\n").as_bytes())?;
+        self.writer.flush()?;
+        read_response(&mut self.reader)
     }
 
     fn quit(&mut self) {
@@ -183,11 +166,29 @@ impl Backend for Remote {
 /// Local mode: one in-process service, shared with `.serve`.
 struct Local {
     session: Session,
-    engine: Engine,
-    explain: bool,
-    stats: bool,
-    analyze: bool,
 }
+
+const HELP: &str = "\
+.engine [tlc|opt|costed|gtp|tax|nav]  show or switch this session's engine
+.explain <query>              the plan, its pruned form, footprint and lints
+.stats                        toggle a counters line after each answer
+.analyze                      toggle a per-operator trace after each answer
+.bench <name>                 run a workload query
+.queries                      list workload queries
+.open <name> <file>           load snapshot/XML as database <name>
+.use <name>                   switch to a catalog database
+.reload [<name>]              re-read a database's file, hot-swap
+.drop <name>                  unregister a catalog database
+.catalog                      list registered databases
+.check                        verify store invariants and indexes
+.insert <doc> <parent-ord> <xml>  append a fragment under a node
+.delete <doc> <ord>           delete a subtree
+.settext <doc> <ord> [<text>] replace an element's text
+.metrics                      the service's metrics: prompt queries,
+                              commits and .serve traffic
+.save <file.tlcx>             snapshot the current database
+.serve <host:port>            share the catalog over TCP
+.quit                         leave";
 
 impl Local {
     /// Loads or generates the startup database and builds the service.
@@ -223,39 +224,28 @@ impl Local {
         let config = ServiceConfig { engine, ..Default::default() };
         let service = Arc::new(Service::new(Arc::new(db), config));
         eprintln!("engine: {} — type .help for commands", engine.name());
-        Ok(Local {
-            session: Session::new(service),
-            engine,
-            explain: false,
-            stats: false,
-            analyze: false,
-        })
+        Ok(Local { session: Session::new(service) })
     }
 
-    /// The session's current snapshot, resolved per command so every
-    /// commit (local or from a `.serve` client) is visible at once.
-    fn db(&self) -> Option<Arc<xmldb::Database>> {
-        match self.session.service().entry(self.session.current()) {
-            Ok(entry) => Some(Arc::clone(entry.database())),
-            Err(e) => {
-                println!("error: {e}");
-                None
-            }
-        }
+    /// Runs `f` on the session's current snapshot, resolved per command so
+    /// every commit (local or from a `.serve` client) is visible at once.
+    fn with_db<E: ToString>(&self, f: impl FnOnce(&xmldb::Database) -> Result<String, E>) -> Frame {
+        let result = match self.session.service().entry(self.session.current()) {
+            Ok(entry) => f(entry.database()).map_err(|e| e.to_string()),
+            Err(e) => Err(e.to_string()),
+        };
+        result.map_or_else(Frame::Err, Frame::Ok)
     }
 
     /// Shares the shell's service over TCP in the background; the local
     /// prompt stays usable.
-    fn serve(&self, addr: &str) {
+    fn serve(&self, addr: &str) -> Frame {
         let listener = match std::net::TcpListener::bind(addr) {
             Ok(l) => l,
-            Err(e) => {
-                println!("error: cannot bind {addr}: {e}");
-                return;
-            }
+            Err(e) => return Frame::Err(format!("cannot bind {addr}: {e}")),
         };
         let svc = Arc::clone(self.session.service());
-        println!(
+        let reply = format!(
             "serving on {addr} (engine {}, {} workers) — connect with: tlc-shell --connect {addr}",
             svc.engine().name(),
             svc.workers()
@@ -271,6 +261,7 @@ impl Local {
                 });
             }
         });
+        Frame::Ok(reply)
     }
 }
 
@@ -282,165 +273,35 @@ impl Backend for Local {
         }
     }
 
-    fn command(&mut self, cmd: &str) -> io::Result<()> {
-        let mut parts = cmd.split_whitespace();
-        match parts.next().unwrap_or("") {
-            ".engine" => match parts.next().map(str::parse) {
-                Some(Err(e)) => println!("error: {e}"),
-                choice => {
-                    if let Some(Ok(engine)) = choice {
-                        self.engine = engine;
-                    }
-                    println!("engine: {}", self.engine.name());
-                }
+    fn send(&mut self, line: &str) -> io::Result<Frame> {
+        let mut words = line.split_whitespace();
+        let frame = match (words.next().unwrap_or(""), words.next()) {
+            (".save", Some(path)) => self.with_db(|db| {
+                xmldb::save_file(db, std::path::Path::new(path))
+                    .map(|()| format!("snapshot written to {path}"))
+            }),
+            (".save", None) => Frame::Err("usage: .save <file.tlcx>".into()),
+            (".check", _) => self.with_db(|db| xmldb::check_database(db).map(|r| r.to_string())),
+            (".queries", _) => Frame::Ok(
+                queries::all_queries()
+                    .iter()
+                    .map(|q| format!("{:<6} {}", q.name, q.comment))
+                    .collect::<Vec<_>>()
+                    .join("\n"),
+            ),
+            (".bench", name) => match name.and_then(queries::query) {
+                Some(q) => return self.send(q.text),
+                None => Frame::Err("usage: .bench <x1..x20|Q1|Q2|x10a>".into()),
             },
-            ".explain" => match cmd[".explain".len()..].trim() {
-                "" => {
-                    self.explain = !self.explain;
-                    println!("explain: {}", self.explain);
-                }
-                // The server's `.explain <query>` report, with the shell's engine.
-                query => match self.db().map(|db| service::explain(self.engine, &db, query)) {
-                    Some(Ok(report)) => print!("{}", report.text),
-                    Some(Err(e)) => println!("error: {e}"),
-                    None => {}
-                },
+            (".serve", Some(addr)) => self.serve(addr),
+            (".serve", None) => Frame::Err("usage: .serve <host:port>".into()),
+            (".help", _) => Frame::Ok(HELP.into()),
+            // `.quit` never gets here: the prompt ends on it.
+            _ => match self.session.answer(line) {
+                ControlFlow::Continue(frame) | ControlFlow::Break(Some(frame)) => frame,
+                ControlFlow::Break(None) => Frame::Ok(String::new()),
             },
-            ".stats" => {
-                self.stats = !self.stats;
-                println!("stats: {}", self.stats);
-            }
-            ".analyze" => {
-                self.analyze = !self.analyze;
-                println!("analyze: {}", self.analyze);
-            }
-            ".save" => match (parts.next(), self.db()) {
-                (Some(path), Some(db)) => match xmldb::save_file(&db, std::path::Path::new(path)) {
-                    Ok(()) => println!("snapshot written to {path}"),
-                    Err(e) => println!("error: {e}"),
-                },
-                (None, _) => println!("usage: .save <file.tlcx>"),
-                (Some(_), None) => {}
-            },
-            ".check" => {
-                if let Some(db) = self.db() {
-                    match xmldb::check_database(&db) {
-                        Ok(report) => println!("{report}"),
-                        Err(e) => println!("error: {e}"),
-                    }
-                }
-            }
-            ".queries" => {
-                for q in queries::all_queries() {
-                    println!("{:<6} {}", q.name, q.comment);
-                }
-            }
-            ".bench" => match parts.next().and_then(queries::query) {
-                Some(q) => self.query(q.text)?,
-                None => println!("usage: .bench <x1..x20|Q1|Q2|x10a>"),
-            },
-            ".serve" => match parts.next() {
-                Some(addr) => self.serve(addr),
-                None => println!("usage: .serve <host:port>"),
-            },
-            ".help" => {
-                println!(
-                    ".engine tlc|opt|costed|gtp|tax|nav  switch the prompt's evaluator\n\
-                     .explain [<query>]            toggle plan display, or analyze a query\n\
-                     .stats                        toggle execution counters\n\
-                     .analyze                      toggle per-operator timings\n\
-                     .bench <name>                 run a workload query\n\
-                     .queries                      list workload queries\n\
-                     .open <name> <file>           load snapshot/XML as database <name>\n\
-                     .use <name>                   switch to a catalog database\n\
-                     .reload [<name>]              re-read a database's file, hot-swap\n\
-                     .drop <name>                  unregister a catalog database\n\
-                     .catalog                      list registered databases\n\
-                     .check                        verify store invariants and indexes\n\
-                     .insert <doc> <parent-ord> <xml>  append a fragment under a node\n\
-                     .delete <doc> <ord>           delete a subtree\n\
-                     .settext <doc> <ord> [<text>] replace an element's text\n\
-                     .metrics                      the service's metrics: commits and\n\
-                     \x20                             .serve traffic, not prompt queries\n\
-                     .save <file.tlcx>             snapshot the current database\n\
-                     .serve <host:port>            share the catalog over TCP, served\n\
-                     \x20                             with the startup engine\n\
-                     .quit                         leave"
-                );
-            }
-            _ => {
-                if let ControlFlow::Continue(frame) | ControlFlow::Break(Some(frame)) =
-                    self.session.answer(cmd)
-                {
-                    print_frame(frame);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn query(&mut self, query: &str) -> io::Result<()> {
-        let started = std::time::Instant::now();
-        // Pin the current snapshot for the whole run; a commit or reload
-        // mid-query cannot pull the store out from under us.
-        let Some(db) = self.db() else { return Ok(()) };
-        if self.engine == Engine::Nav {
-            match xquery::parse(query) {
-                Ok(ast) => match baselines::evaluate_nav(&db, &ast) {
-                    Ok((out, stats)) => {
-                        println!("{out}");
-                        if self.stats {
-                            println!(
-                                "-- {} nodes visited, {} tuples, {:?}",
-                                stats.nodes_visited,
-                                stats.tuples,
-                                started.elapsed()
-                            );
-                        }
-                    }
-                    Err(e) => println!("error: {e}"),
-                },
-                Err(e) => println!("error: {e}"),
-            }
-            return Ok(());
-        }
-        match baselines::plan_for(self.engine, query, &db) {
-            Ok(plan) => {
-                if self.explain {
-                    println!("{}", plan.display(Some(&db)));
-                }
-                if self.analyze {
-                    match tlc::execute_traced(&db, &plan) {
-                        Ok((trees, _, traces)) => {
-                            println!("{}", tlc::serialize_results(&db, &trees));
-                            println!("{}", tlc::render_trace(&traces));
-                        }
-                        Err(e) => println!("error: {e}"),
-                    }
-                    return Ok(());
-                }
-                match tlc::execute(&db, &plan) {
-                    Ok((trees, stats)) => {
-                        println!("{}", tlc::serialize_results(&db, &trees));
-                        if self.stats {
-                            println!(
-                                "-- {} tree(s), {} pattern matches, {} probes, {} nodes inspected, \
-                                 {} candidate fetches, {} structural-join comparisons, {:?}",
-                                trees.len(),
-                                stats.pattern_matches,
-                                stats.probes,
-                                stats.nodes_inspected,
-                                stats.candidate_fetches,
-                                stats.struct_cmps,
-                                started.elapsed()
-                            );
-                        }
-                    }
-                    Err(e) => println!("error: {e}"),
-                }
-            }
-            Err(e) => println!("error: {e}"),
-        }
-        Ok(())
+        };
+        Ok(frame)
     }
 }

@@ -15,8 +15,11 @@
 //!
 //! Requests are one query per line; `.open`/`.use`/`.reload`/`.catalog`
 //! drive the database catalog, `.insert`/`.delete`/`.settext` mutate the
-//! current database, `.metrics` prints the metrics report, `.quit` ends
-//! the connection. In TCP mode the process runs until killed.
+//! current database, `.engine`/`.stats`/`.analyze` set this connection's
+//! engine and its counters line and operator trace (`--engine` is where
+//! every connection starts), `.metrics` prints the metrics report, `.quit`
+//! ends the connection (see `service::protocol`). In TCP mode the process
+//! runs until killed.
 //! The generated or `--load`ed database is catalog entry `main`; every
 //! `--open NAME=FILE` (repeatable) registers another. With
 //! `--manifest FILE` the catalog (every database with a reload source,

@@ -6,11 +6,13 @@
 //! the plan never changes for a fixed database schema, so the service
 //! compiles once and executes many.
 //!
-//! **Keying.** The key is `(database name, epoch, whitespace-normalized
-//! query text)`, composed by [`plan_key`]. The text component collapses
-//! whitespace runs between tokens to one space and trims the ends, so the
-//! same query sent indented, on one line, or with trailing newlines shares
-//! one entry; whitespace inside string literals and element-constructor
+//! **Keying.** The key is `(database name, epoch, engine,
+//! whitespace-normalized query text)`, composed by [`engine_plan_key`].
+//! The engine keeps the plans of two engines for one text apart, so a
+//! session that switches engines never runs another engine's plan. The
+//! text component collapses whitespace runs between tokens to one space
+//! and trims the ends, so the same query sent indented, on one line, or
+//! with trailing newlines shares one entry; whitespace inside string literals and element-constructor
 //! text is kept, because it is part of the answer ([`normalize_query`]).
 //! Nothing semantic (no parse) happens during keying — a cache probe on a
 //! miss costs one string scan. The database name and **epoch** components
@@ -33,9 +35,10 @@
 //! keys → materialized result-tree sets, consulted by the executor through
 //! [`tlc::MatchCache`].
 
+use baselines::Engine;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Duration;
 
 /// The cache-key canonicalization: collapses each whitespace run between
@@ -100,13 +103,34 @@ pub fn normalize_query(text: &str) -> String {
     out
 }
 
-/// Composes the cache key for `normalized` query text compiled against one
-/// published snapshot of database `db` at `epoch`. The `\u{1}` separator
-/// cannot occur in a database name (the catalog validates names to
-/// printable ASCII), so a query string can never forge another database's
-/// key prefix.
+/// Composes the cache key for `normalized` query text compiled by
+/// `engine` against one published snapshot of database `db` at `epoch`.
+/// The `\u{1}` separator cannot occur in a database name (the catalog
+/// validates names to printable ASCII), so a query string can never forge
+/// another database's key prefix. The engine's name leads the text
+/// component, after [`epoch_prefix`], so every purge and carry that works
+/// on the prefixes treats all engines' plans alike. The key is written
+/// into one allocation sized up front.
+pub fn engine_plan_key(db: &str, epoch: u64, engine: Engine, normalized: &str) -> String {
+    use std::fmt::Write as _;
+    let name = engine.name();
+    // Three separators and at most 20 digits of epoch.
+    let mut key = String::with_capacity(db.len() + name.len() + normalized.len() + 23);
+    let _ = write!(key, "{db}\u{1}{epoch}\u{1}{name}\u{1}{normalized}");
+    key
+}
+
+/// [`engine_plan_key`] for the default engine, [`Engine::Tlc`].
 pub fn plan_key(db: &str, epoch: u64, normalized: &str) -> String {
-    format!("{db}\u{1}{epoch}\u{1}{normalized}")
+    engine_plan_key(db, epoch, Engine::Tlc, normalized)
+}
+
+/// Locks `mutex`, recovering the guard if a thread panicked while holding
+/// it. Every critical section over the plan cache, the match store and
+/// the commit lock leaves its data valid, so a poisoned lock guards
+/// nothing torn, and one panicking request must not fail every later one.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The key prefix shared by every entry of database `db` at `epoch`; keys
@@ -479,7 +503,7 @@ impl MatchStore {
 
     /// Current cache counters (hits, misses, evictions, bytes, budget).
     pub fn stats(&self) -> CacheStats {
-        self.inner.lock().unwrap().stats()
+        lock(&self.inner).stats()
     }
 
     /// Entries dropped by invalidation sweeps so far.
@@ -505,7 +529,7 @@ impl MatchStore {
         to_prefix: &str,
         chain_keys: &[K],
     ) -> u64 {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = lock(&self.inner);
         let mut carried = 0u64;
         for key in chain_keys.iter().map(AsRef::as_ref) {
             if let Some((value, cost)) = inner.peek(&format!("{from_prefix}{key}")) {
@@ -521,7 +545,7 @@ impl MatchStore {
     /// Invalidation sweep: removes every entry whose key satisfies `pred`,
     /// returning how many were dropped.
     pub fn purge_where(&self, pred: impl Fn(&str) -> bool) -> u64 {
-        let dropped = self.inner.lock().unwrap().purge_where(pred);
+        let dropped = lock(&self.inner).purge_where(pred);
         self.invalidated.fetch_add(dropped, Ordering::Relaxed);
         dropped
     }
@@ -547,13 +571,13 @@ impl ScopedMatchCache {
 
 impl tlc::MatchCache for ScopedMatchCache {
     fn get(&self, key: &str) -> Option<Arc<Vec<tlc::ResultTree>>> {
-        self.store.inner.lock().unwrap().get(&format!("{}{key}", self.prefix))
+        lock(&self.store.inner).get(&format!("{}{key}", self.prefix))
     }
 
     fn put(&self, key: &str, trees: &[tlc::ResultTree]) {
         let cost = std::mem::size_of::<Vec<tlc::ResultTree>>()
             + trees.iter().map(tlc::ResultTree::approx_bytes).sum::<usize>();
-        self.store.inner.lock().unwrap().insert_weighted(
+        lock(&self.store.inner).insert_weighted(
             &format!("{}{key}", self.prefix),
             Arc::new(trees.to_vec()),
             cost,
@@ -655,6 +679,11 @@ mod tests {
         assert!(!plan_key("a", 3, text).starts_with(&epoch_prefix("a", 2)));
         // "ab" must not look like a stale entry of database "a".
         assert!(!plan_key("ab", 0, text).starts_with(&db_prefix("a")));
+        // Engines key apart, inside the epoch prefix.
+        let tax = engine_plan_key("a", 3, Engine::Tax, text);
+        assert_ne!(tax, plan_key("a", 3, text));
+        assert!(tax.starts_with(&epoch_prefix("a", 3)));
+        assert_eq!(tax.capacity(), "a".len() + "TAX".len() + text.len() + 23);
     }
 
     #[test]

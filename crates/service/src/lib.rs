@@ -15,8 +15,8 @@
 //!   epoch. Queries route to a database by name; [`catalog::DEFAULT_DB`]
 //!   is the one the service is constructed with.
 //! * **plan cache** ([`cache`]) — a bounded LRU from `(database, epoch,
-//!   whitespace-normalized query text)` to the compiled, optimized TLC
-//!   plan. The evaluation workload is a repeated-template workload, so
+//!   engine, whitespace-normalized query text)` to the compiled, optimized
+//!   TLC plan. The evaluation workload is a repeated-template workload, so
 //!   compile-once/execute-many removes the whole front half of the
 //!   pipeline from the hot path. The epoch in the key is what makes hot
 //!   swap sound: plans bind tag ids of the store they were compiled
@@ -74,7 +74,7 @@ pub mod pool;
 pub mod protocol;
 
 use baselines::Engine;
-use cache::{CacheStats, CachedPlan, LruCache};
+use cache::{lock, CacheStats, CachedPlan, LruCache};
 use catalog::{Catalog, CatalogEntry, CatalogError, DEFAULT_DB};
 use metrics::{Metrics, Outcome, Snapshot};
 use pool::{Pool, Reply, SubmitError};
@@ -83,14 +83,15 @@ use std::path::Path;
 use std::sync::mpsc::RecvTimeoutError;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use tlc::{ExecStats, Plan};
+use tlc::{ExecStats, OpTrace, Plan};
 use xmldb::Database;
 
 /// Configuration for a [`Service`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Engine used to compile and execute queries. Plan-based engines get
-    /// plan caching; [`Engine::Nav`] is interpreted per request.
+    /// Engine used to compile and execute requests that do not choose their
+    /// own ([`RequestOpts::engine`]). Plan-based engines get plan caching;
+    /// [`Engine::Nav`] is interpreted per request.
     pub engine: Engine,
     /// Executor threads.
     pub workers: usize,
@@ -233,8 +234,14 @@ pub struct Response {
     /// Serialized query result, byte-identical to what the single-threaded
     /// `baselines::run` produces for the same engine.
     pub output: String,
-    /// Executor counters for this request.
+    /// Executor counters for this request. NAV reports its traversal
+    /// counters here: nodes visited as `nodes_inspected`, binding tuples as
+    /// `trees_built`.
     pub stats: ExecStats,
+    /// The per-operator trace, in plan order, when the request asked for
+    /// one ([`RequestOpts::trace`]); always `None` for NAV, which runs no
+    /// plan.
+    pub trace: Option<Vec<OpTrace>>,
     /// Whether the plan came out of the cache (always `true` for
     /// [`Service::execute_prepared`], always `false` for NAV).
     pub cache_hit: bool,
@@ -248,7 +255,23 @@ pub struct Response {
     pub total_time: Duration,
 }
 
-type WorkResult = Result<(String, ExecStats), ServiceError>;
+type WorkResult = Result<(String, ExecStats, Option<Vec<OpTrace>>), ServiceError>;
+
+/// Per-request options for [`Service::execute_opts`]. The default is the
+/// service's own settings: its configured engine, its default deadline
+/// and no trace.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RequestOpts {
+    /// Engine that compiles and runs the request; `None` is the
+    /// service's [`ServiceConfig::engine`]. Plans are cached per engine.
+    pub engine: Option<Engine>,
+    /// Wall-clock budget for this request alone; `None` is the
+    /// service's [`ServiceConfig::default_deadline`].
+    pub deadline: Option<Duration>,
+    /// Run the plan with the executor's per-operator observer on
+    /// ([`tlc::ExecCtx::with_trace`]) and return [`Response::trace`].
+    pub trace: bool,
+}
 
 /// One node-level mutation for [`Service::apply_update`]. Documents are
 /// addressed by logical name, nodes by their pre ordinal within the
@@ -451,7 +474,7 @@ impl Service {
         let live = cache::epoch_prefix(entry.name(), entry.epoch());
         let all = cache::db_prefix(entry.name());
         let stale = |key: &str| key.starts_with(&all) && !key.starts_with(&live);
-        let invalidated = self.cache.lock().unwrap().purge_where(stale);
+        let invalidated = lock(&self.cache).purge_where(stale);
         if let Some(store) = &self.matches {
             store.purge_where(stale);
         }
@@ -472,7 +495,7 @@ impl Service {
         }
         self.catalog.remove(name).map_err(ServiceError::Catalog)?;
         let prefix = cache::db_prefix(name);
-        let plans = self.cache.lock().unwrap().purge_where(|k| k.starts_with(&prefix));
+        let plans = lock(&self.cache).purge_where(|k| k.starts_with(&prefix));
         let entries =
             self.matches.as_ref().map_or(0, |s| s.purge_where(|k| k.starts_with(&prefix)));
         Ok((plans, entries))
@@ -509,7 +532,7 @@ impl Service {
     /// Updates serialize against each other on an internal commit lock;
     /// queries never take it.
     pub fn apply_update(&self, db: &str, op: &UpdateOp) -> Result<UpdateOutcome, ServiceError> {
-        let _commit = self.commit.lock().unwrap();
+        let _commit = lock(&self.commit);
         let started = Instant::now();
         let base = self.entry(db)?;
         let mut next: Database = (**base.database()).clone();
@@ -535,7 +558,7 @@ impl Service {
         let mut carry_keys: Vec<String> = Vec::new();
         let mut extra_keys: Vec<String> = Vec::new();
         let plans_invalidated = {
-            let mut plans = self.cache.lock().unwrap();
+            let mut plans = lock(&self.cache);
             for (key, cached) in plans.collect_prefixed(&old_prefix) {
                 let (carry, computed) = cached.carry_set();
                 carry_sets_computed += u64::from(computed);
@@ -589,19 +612,79 @@ impl Service {
         self.catalog.resolve(db).map_err(ServiceError::Catalog)
     }
 
-    /// Compiles `query` against database `db` and renders its
-    /// static-analysis report ([`explain`], `.explain` in the wire
-    /// protocol), recording the prune and lint counts in the metrics.
-    pub fn explain(&self, db: &str, query: &str) -> Result<String, ServiceError> {
+    /// Compiles `query` with `engine` against database `db` and renders
+    /// the static-analysis view (`.explain` in the wire protocol): the
+    /// compiled plan, its inferred type (per-class cardinalities, root,
+    /// order), its read-effect footprint, what class-liveness pruning
+    /// removes, and every lint warning. The prune and lint counts go to the
+    /// metrics. No plan cache is involved, so the report always describes
+    /// the *unpruned* translation of what the user wrote.
+    pub fn explain(&self, db: &str, engine: Engine, query: &str) -> Result<String, ServiceError> {
+        if engine == Engine::Nav {
+            return Err(ServiceError::Unsupported(
+                "NAV is interpreted per request; nothing to explain".into(),
+            ));
+        }
         let entry = self.entry(db)?;
-        let report = explain(self.engine, entry.database(), query)?;
+        let db = entry.database();
+        let plan = baselines::plan_for(engine, query, db).map_err(ServiceError::Compile)?;
+        let t = tlc::analyze(&plan).map_err(|e| ServiceError::Compile(tlc::Error::Analyze(e)))?;
+        let fp = tlc::plan_footprint(&plan);
+        let (pruned, report) = tlc::prune_with_report(&plan);
+        let lints = tlc::lint(&plan, db);
+        let interner = db.interner();
+        let mut out = String::new();
+        out.push_str(&format!(
+            "== plan ({} operator(s), engine {engine:?}) ==\n{}",
+            plan.operator_count(),
+            plan.display(Some(db))
+        ));
+        let classes: Vec<String> = t.classes.iter().map(|(l, c)| format!("{l}:{c:?}")).collect();
+        out.push_str(&format!(
+            "== type ==\nclasses: {}\nroot: {}\norder: {:?}\n",
+            if classes.is_empty() { "(none)".to_string() } else { classes.join(" ") },
+            t.root.map_or_else(|| "(none)".to_string(), |r| r.to_string()),
+            t.order
+        ));
+        out.push_str("== footprint ==\n");
+        out.push_str(&format!("docs: {}\n", join_or_none(fp.docs.iter().cloned())));
+        for (doc, tags) in &fp.doc_tags {
+            let names = join_or_none(tags.iter().map(|&t| interner.name(t).to_string()));
+            out.push_str(&format!("tags[{doc}]: {names}\n"));
+        }
+        out.push_str(&format!(
+            "steps: {} child, {} descendant; {} value predicate(s)\n",
+            fp.child_steps,
+            fp.descendant_steps,
+            fp.preds.len()
+        ));
+        out.push_str("== liveness ==\n");
+        if report.changed() {
+            out.push_str(&format!(
+                "pruned: {} DupElim(s) removed, {} select(s) eliminated, {} star subtree(s) dropped, {} dead Project column(s)\n",
+                report.dupelims_removed,
+                report.selects_eliminated,
+                report.star_subtrees_pruned,
+                report.dead_project_columns.len()
+            ));
+            out.push_str(&format!("pruned plan:\n{}", pruned.display(Some(db))));
+        } else {
+            out.push_str("nothing to prune\n");
+        }
+        out.push_str("== lints ==\n");
+        if lints.is_empty() {
+            out.push_str("no warnings\n");
+        }
+        for l in &lints {
+            out.push_str(&format!("{l}\n"));
+        }
         self.metrics.record_analysis(
             entry.name(),
-            report.pruned,
-            report.ops_eliminated,
-            report.lints,
+            report.changed(),
+            report.ops_eliminated() as u64,
+            lints.len() as u64,
         );
-        Ok(report.text)
+        Ok(out)
     }
 
     /// The configured engine.
@@ -623,35 +706,39 @@ impl Service {
 
     /// Like [`Service::prepare`] against a named catalog database.
     pub fn prepare_on(&self, db: &str, query: &str) -> Result<PlanHandle, ServiceError> {
-        self.prepare_inner(db, query).map(|(handle, _)| handle)
+        self.prepare_inner(db, self.engine, query).map(|(handle, _)| handle)
     }
 
-    /// Like [`Service::prepare_on`], also reporting whether the plan was
-    /// cached.
-    fn prepare_inner(&self, db: &str, query: &str) -> Result<(PlanHandle, bool), ServiceError> {
-        if self.engine == Engine::Nav {
+    /// Like [`Service::prepare_on`] with `engine`, also reporting whether
+    /// the plan was cached.
+    fn prepare_inner(
+        &self,
+        db: &str,
+        engine: Engine,
+        query: &str,
+    ) -> Result<(PlanHandle, bool), ServiceError> {
+        if engine == Engine::Nav {
             return Err(ServiceError::Unsupported(
                 "NAV is interpreted per request; nothing to prepare".into(),
             ));
         }
         let entry = self.entry(db)?;
         let normalized = cache::normalize_query(query);
-        let key = cache::plan_key(entry.name(), entry.epoch(), &normalized);
-        if let Some(cached) = self.cache.lock().unwrap().get(&key) {
+        let key = cache::engine_plan_key(entry.name(), entry.epoch(), engine, &normalized);
+        if let Some(cached) = lock(&self.cache).get(&key) {
             self.metrics.record_cache(entry.name(), true, 0);
             return Ok((PlanHandle { entry, normalized: normalized.into(), cached }, true));
         }
         // Compile outside the cache lock: compilation is the expensive part,
         // and holding the lock would serialize concurrent misses. Two racing
         // misses both compile; the loser's insert replaces in place, which
-        // is harmless (plans for the same text and epoch are
+        // is harmless (plans for the same text, engine and epoch are
         // interchangeable). A swap racing this compile is harmless too: the
         // entry we resolved pins the old snapshot, the insert lands under
         // the old epoch's key, and no later lookup (which keys on the new
         // epoch) can retrieve it.
         let plan = Arc::new(
-            baselines::plan_for(self.engine, query, entry.database())
-                .map_err(ServiceError::Compile)?,
+            baselines::plan_for(engine, query, entry.database()).map_err(ServiceError::Compile)?,
         );
         // Gate the cache behind the static LC dataflow analysis: a plan that
         // fails verification would be served to every later request for the
@@ -668,68 +755,61 @@ impl Service {
         self.metrics.record_analysis(entry.name(), changed, report.ops_eliminated() as u64, lints);
         let plan = if changed { Arc::new(pruned) } else { plan };
         let cached = Arc::new(CachedPlan::new(plan));
-        let evictions = self.cache.lock().unwrap().insert(&key, Arc::clone(&cached));
+        let evictions = lock(&self.cache).insert(&key, Arc::clone(&cached));
         self.metrics.record_cache(entry.name(), false, evictions);
         Ok((PlanHandle { entry, normalized: normalized.into(), cached }, false))
     }
 
     /// Compiles (through the plan cache) and executes `query` against the
-    /// default database under the default deadline.
+    /// default database with the service's settings.
     pub fn execute(&self, query: &str) -> Result<Response, ServiceError> {
-        self.execute_opts(DEFAULT_DB, query, self.default_deadline)
+        self.execute_opts(DEFAULT_DB, query, RequestOpts::default())
     }
 
     /// Like [`Service::execute`] against a named catalog database.
     pub fn execute_on(&self, db: &str, query: &str) -> Result<Response, ServiceError> {
-        self.execute_opts(db, query, self.default_deadline)
+        self.execute_opts(db, query, RequestOpts::default())
     }
 
-    /// Like [`Service::execute`] with an explicit wall-clock budget for
-    /// this request alone.
-    pub fn execute_with_deadline(
-        &self,
-        query: &str,
-        budget: Duration,
-    ) -> Result<Response, ServiceError> {
-        self.execute_opts(DEFAULT_DB, query, Some(budget))
-    }
-
-    /// Like [`Service::execute_on`] with an explicit wall-clock budget.
-    pub fn execute_on_with_deadline(
+    /// Compiles (through the plan cache) and executes `query` against
+    /// database `db` with the per-request options `opts`: the one query
+    /// entry every other `execute*` call and each protocol session go
+    /// through. [`Engine::Nav`] is interpreted per request, uncached.
+    pub fn execute_opts(
         &self,
         db: &str,
         query: &str,
-        budget: Duration,
+        opts: RequestOpts,
     ) -> Result<Response, ServiceError> {
-        self.execute_opts(db, query, Some(budget))
-    }
-
-    fn execute_opts(
-        &self,
-        db: &str,
-        query: &str,
-        budget: Option<Duration>,
-    ) -> Result<Response, ServiceError> {
-        if self.engine == Engine::Nav {
-            // Interpreted engine: no plan, no cache; the deadline still
-            // guards queue time (checked at dequeue).
+        let engine = opts.engine.unwrap_or(self.engine);
+        let budget = opts.deadline.or(self.default_deadline);
+        if engine == Engine::Nav {
+            // No plan, no cache; the deadline still guards queue time
+            // (checked at dequeue).
             let text = query.to_string();
             let label = cache::normalize_query(query);
             return self.run_on_snapshot(db, &label, budget, move |snapshot| {
-                baselines::run(Engine::Nav, &text, snapshot).map_err(ServiceError::Execute)
+                let (output, nav) =
+                    baselines::run_nav(&text, snapshot).map_err(ServiceError::Execute)?;
+                let stats = ExecStats {
+                    nodes_inspected: nav.nodes_visited,
+                    trees_built: nav.tuples,
+                    ..ExecStats::new()
+                };
+                Ok((output, stats))
             });
         }
         let admitted = Instant::now();
         let deadline = budget.map(|b| admitted + b);
-        let (handle, cached) = self.prepare_inner(db, query)?;
-        self.execute_handle(&handle, cached, admitted, deadline)
+        let (handle, cached) = self.prepare_inner(db, engine, query)?;
+        self.execute_handle(&handle, cached, admitted, deadline, opts.trace)
     }
 
     /// Runs `work` over the current snapshot of database `db` on the worker
     /// pool, as one request labelled `label`: the same admission, deadline,
     /// panic containment and metrics path a query takes. The resolved entry
     /// pins the snapshot for the whole run. The interpreted NAV engine is
-    /// served through this; `work` returns the reply text.
+    /// served through this; `work` returns the reply text and its counters.
     pub fn run_on_snapshot<F>(
         &self,
         db: &str,
@@ -738,14 +818,14 @@ impl Service {
         work: F,
     ) -> Result<Response, ServiceError>
     where
-        F: FnOnce(&Database) -> Result<String, ServiceError> + Send + 'static,
+        F: FnOnce(&Database) -> Result<(String, ExecStats), ServiceError> + Send + 'static,
     {
         let admitted = Instant::now();
         let deadline = budget.map(|b| admitted + b);
         let entry = self.entry(db)?;
         let snapshot = Arc::clone(entry.database());
         let work: Box<dyn FnOnce() -> WorkResult + Send> =
-            Box::new(move || work(&snapshot).map(|out| (out, ExecStats::new())));
+            Box::new(move || work(&snapshot).map(|(out, stats)| (out, stats, None)));
         self.dispatch(label.to_string(), false, &entry, admitted, deadline, work)
     }
 
@@ -754,7 +834,7 @@ impl Service {
     pub fn execute_prepared(&self, handle: &PlanHandle) -> Result<Response, ServiceError> {
         let admitted = Instant::now();
         let deadline = self.default_deadline.map(|b| admitted + b);
-        self.execute_handle(handle, true, admitted, deadline)
+        self.execute_handle(handle, true, admitted, deadline, false)
     }
 
     fn execute_handle(
@@ -763,6 +843,7 @@ impl Service {
         cached: bool,
         admitted: Instant,
         deadline: Option<Instant>,
+        trace: bool,
     ) -> Result<Response, ServiceError> {
         let db = Arc::clone(handle.entry.database());
         let plan = Arc::clone(handle.cached.plan());
@@ -777,11 +858,12 @@ impl Service {
             )) as Arc<dyn tlc::MatchCache>
         });
         let work: Box<dyn FnOnce() -> WorkResult + Send> = Box::new(move || {
-            let mut ctx = tlc::ExecCtx::new();
+            let mut ctx =
+                if trace { tlc::ExecCtx::new().with_trace() } else { tlc::ExecCtx::new() };
             ctx.deadline = deadline;
             ctx.cache = match_cache;
             match tlc::execute_with_ctx(&db, &plan, &mut ctx) {
-                Ok(trees) => Ok((tlc::serialize_results(&db, &trees), ctx.stats)),
+                Ok(trees) => Ok((tlc::serialize_results(&db, &trees), ctx.stats, ctx.take_trace())),
                 Err(tlc::Error::DeadlineExceeded) => Err(ServiceError::DeadlineExceeded),
                 Err(other) => Err(ServiceError::Execute(other)),
             }
@@ -829,12 +911,13 @@ impl Service {
         };
         let total_time = admitted.elapsed();
         match reply {
-            Reply::Done { value: Ok((output, stats)), queue_wait } => {
+            Reply::Done { value: Ok((output, stats, trace)), queue_wait } => {
                 self.metrics.record_queue_wait(queue_wait);
                 self.metrics.record_request(&label, total_time, &stats);
                 Ok(Response {
                     output,
                     stats,
+                    trace,
                     cache_hit,
                     db_name: entry.shared_name(),
                     db_epoch: entry.epoch(),
@@ -864,7 +947,7 @@ impl Service {
 
     /// Plan-cache counters.
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.lock().unwrap().stats()
+        lock(&self.cache).stats()
     }
 
     /// Match-cache counters, or `None` when the cache is disabled
@@ -913,93 +996,6 @@ impl Service {
     pub fn workers(&self) -> usize {
         self.pool.workers()
     }
-}
-
-/// A static-analysis report, as `.explain` prints it, plus the counts the
-/// service records in its metrics.
-#[derive(Debug, Clone)]
-pub struct Explain {
-    /// The report text, one section per `== heading ==`.
-    pub text: String,
-    /// Class-liveness pruning would change the plan.
-    pub pruned: bool,
-    /// Operators pruning eliminates.
-    pub ops_eliminated: u64,
-    /// Lint warnings raised.
-    pub lints: u64,
-}
-
-/// Compiles `query` with `engine` against `db` and renders the
-/// static-analysis view shared by the service's and the shell's
-/// `.explain`: the compiled plan, its inferred type (per-class
-/// cardinalities, root, order), its read-effect footprint, what
-/// class-liveness pruning removes, and every lint warning. No plan cache is
-/// involved, so the report always describes the *unpruned* translation of
-/// what the user wrote.
-pub fn explain(engine: Engine, db: &Database, query: &str) -> Result<Explain, ServiceError> {
-    if engine == Engine::Nav {
-        return Err(ServiceError::Unsupported(
-            "NAV is interpreted per request; nothing to explain".into(),
-        ));
-    }
-    let plan = baselines::plan_for(engine, query, db).map_err(ServiceError::Compile)?;
-    let t = tlc::analyze(&plan).map_err(|e| ServiceError::Compile(tlc::Error::Analyze(e)))?;
-    let fp = tlc::plan_footprint(&plan);
-    let (pruned, report) = tlc::prune_with_report(&plan);
-    let lints = tlc::lint(&plan, db);
-    let interner = db.interner();
-    let mut out = String::new();
-    out.push_str(&format!(
-        "== plan ({} operator(s), engine {engine:?}) ==\n{}",
-        plan.operator_count(),
-        plan.display(Some(db))
-    ));
-    let classes: Vec<String> = t.classes.iter().map(|(l, c)| format!("{l}:{c:?}")).collect();
-    out.push_str(&format!(
-        "== type ==\nclasses: {}\nroot: {}\norder: {:?}\n",
-        if classes.is_empty() { "(none)".to_string() } else { classes.join(" ") },
-        t.root.map_or_else(|| "(none)".to_string(), |r| r.to_string()),
-        t.order
-    ));
-    out.push_str("== footprint ==\n");
-    out.push_str(&format!("docs: {}\n", join_or_none(fp.docs.iter().cloned())));
-    for (doc, tags) in &fp.doc_tags {
-        let names = join_or_none(tags.iter().map(|&t| interner.name(t).to_string()));
-        out.push_str(&format!("tags[{doc}]: {names}\n"));
-    }
-    out.push_str(&format!(
-        "steps: {} child, {} descendant; {} value predicate(s)\n",
-        fp.child_steps,
-        fp.descendant_steps,
-        fp.preds.len()
-    ));
-    out.push_str("== liveness ==\n");
-    if report.changed() {
-        out.push_str(&format!(
-            "pruned: {} DupElim(s) removed, {} select(s) eliminated, {} star subtree(s) dropped, {} dead Project column(s)\n",
-            report.dupelims_removed,
-            report.selects_eliminated,
-            report.star_subtrees_pruned,
-            report.dead_project_columns.len()
-        ));
-        out.push_str(&format!("pruned plan:\n{}", pruned.display(Some(db))));
-    } else {
-        out.push_str("nothing to prune\n");
-    }
-    out.push_str("== lints ==\n");
-    if lints.is_empty() {
-        out.push_str("no warnings\n");
-    } else {
-        for l in &lints {
-            out.push_str(&format!("{l}\n"));
-        }
-    }
-    Ok(Explain {
-        text: out,
-        pruned: report.changed(),
-        ops_eliminated: report.ops_eliminated() as u64,
-        lints: lints.len() as u64,
-    })
 }
 
 fn join_or_none(items: impl Iterator<Item = String>) -> String {
@@ -1071,13 +1067,37 @@ mod tests {
     #[test]
     fn zero_budget_deadline_exceeds() {
         let svc = tiny_service(ServiceConfig::default());
-        match svc.execute_with_deadline(Q, Duration::ZERO) {
+        let zero = RequestOpts { deadline: Some(Duration::ZERO), ..Default::default() };
+        match svc.execute_opts(DEFAULT_DB, Q, zero) {
             Err(ServiceError::DeadlineExceeded) => {}
             other => panic!("expected deadline error, got {other:?}"),
         }
         // The worker is still healthy afterwards.
         assert!(svc.execute(Q).is_ok());
         assert!(svc.metrics_snapshot().deadline >= 1);
+    }
+
+    #[test]
+    fn poisoned_locks_are_recovered() {
+        let svc = Arc::new(tiny_service(ServiceConfig::default()));
+        let expected = svc.execute(Q).unwrap().output;
+        let holder = Arc::clone(&svc);
+        let died = std::thread::spawn(move || {
+            let _plans = holder.cache.lock().unwrap();
+            let _commit = holder.commit.lock().unwrap();
+            panic!("poisons the plan cache and the commit lock");
+        })
+        .join();
+        assert!(died.is_err());
+        assert!(svc.cache.is_poisoned() && svc.commit.is_poisoned());
+        let resp = svc.execute(Q).unwrap();
+        assert_eq!(resp.output, expected);
+        assert!(resp.cache_hit);
+        let site = svc.database().nodes_with_tag("site")[0].pre;
+        let op =
+            UpdateOp::Insert { doc: "auction.xml".into(), parent: site, xml: "<note/>".into() };
+        assert_eq!(svc.apply_update(DEFAULT_DB, &op).unwrap().entry.epoch(), 1);
+        assert_eq!(svc.execute(Q).unwrap().output, expected);
     }
 
     #[test]

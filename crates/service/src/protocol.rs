@@ -3,7 +3,15 @@
 //! Requests are single lines:
 //!
 //! * a query — any line not starting with `.`, executed against the
-//!   session's current database;
+//!   session's current database with the session's engine;
+//! * `.engine [<name>]` — show or set this session's engine (`tlc`, `opt`,
+//!   `costed`, `gtp`, `tax`, `nav`); it starts as the service's engine, and
+//!   the plan cache keeps each engine's plans apart;
+//! * `.stats` — toggle a `-- …` line of executor counters after each
+//!   query's output (for `nav`: nodes visited and binding tuples);
+//! * `.analyze` — toggle a per-operator trace (own time, trees out) after
+//!   each query's output; operators answered from the match cache carry
+//!   the `[match-cache hit]` mark;
 //! * `.open <name> <file>` — load a TLCX snapshot or XML file into the
 //!   catalog under `name` (hot-swapping if the name exists) and switch
 //!   this session to it;
@@ -21,17 +29,18 @@
 //! * `.delete <doc> <ord>` — delete the subtree rooted at `ord`;
 //! * `.settext <doc> <ord> [<text>]` — replace the node's text content
 //!   (the raw rest of the line; empty clears it);
-//! * `.explain <query>` — compile the query (raw rest of the line)
-//!   against the session's current database without executing it and
-//!   report the static-analysis view: the typed plan, its read-effect
-//!   footprint, what class-liveness pruning removes, and lint warnings
-//!   (see [`crate::explain`]);
+//! * `.explain <query>` — compile the query (raw rest of the line) with
+//!   the session's engine against its current database without executing
+//!   it and report the static-analysis view: the typed plan, its
+//!   read-effect footprint, what class-liveness pruning removes, and lint
+//!   warnings (see [`Service::explain`]);
 //! * `.catalog` — list the registered databases;
 //! * `.metrics` — the service's text metrics report;
 //! * `.quit` — close this connection.
 //!
-//! The *current database* is per-connection state: two clients of one
-//! server can sit on different databases, and `.use` in one session never
+//! The *current database*, the engine and the two toggles are
+//! per-connection state: two clients of one server can sit on different
+//! databases and engines, and `.use` or `.engine` in one session never
 //! disturbs another. Catalog mutations (`.open`, `.reload`) are global —
 //! every session sees the new snapshot on its next query.
 //!
@@ -49,10 +58,12 @@
 //! [`Session`] is the one interpreter of these requests: it answers a
 //! request line with a [`Frame`]. [`serve_connection`] runs one session
 //! over any reader/writer pair (stdin/stdout or a TCP stream), and
-//! `tlc-shell` drives one against its in-process service for the catalog
-//! and update commands. [`read_response`] is the client-side frame parser.
+//! `tlc-shell` drives one against its in-process service for every line
+//! it does not answer itself. [`read_response`] is the client-side frame
+//! parser.
 
-use crate::{Service, ServiceError, UpdateOp};
+use crate::{RequestOpts, Response, Service, ServiceError, UpdateOp};
+use baselines::Engine;
 use std::io::{self, BufRead, Read, Write};
 use std::ops::ControlFlow;
 use std::path::Path;
@@ -236,8 +247,9 @@ fn err(message: impl std::fmt::Display) -> Frame {
 }
 
 /// One protocol session: the request handler behind [`serve_connection`]
-/// and `tlc-shell`'s prompt. It holds the session's current database and
-/// its reusable [`FrameBuf`], and answers one request line at a time.
+/// and `tlc-shell`'s prompt. It holds the session's current database, its
+/// engine, its `.stats` and `.analyze` toggles and its reusable
+/// [`FrameBuf`], and answers one request line at a time.
 ///
 /// Every session starts on [`crate::catalog::DEFAULT_DB`]; `.open` and
 /// `.use` move this session only. Sessions sharing one [`Service`] share
@@ -246,6 +258,9 @@ fn err(message: impl std::fmt::Display) -> Frame {
 pub struct Session {
     service: Arc<Service>,
     current: String,
+    engine: Engine,
+    stats: bool,
+    analyze: bool,
     frame: FrameBuf,
     /// Queries answered so far (dot-commands do not count).
     served: u64,
@@ -255,7 +270,16 @@ impl Session {
     /// A session on `service`, starting on its default database.
     pub fn new(service: Arc<Service>) -> Session {
         let current = service.default_database().to_string();
-        Session { service, current, frame: FrameBuf::new(), served: 0 }
+        let engine = service.engine();
+        Session {
+            service,
+            current,
+            engine,
+            stats: false,
+            analyze: false,
+            frame: FrameBuf::new(),
+            served: 0,
+        }
     }
 
     /// The service this session drives.
@@ -279,14 +303,48 @@ impl Session {
             dot if dot.starts_with('.') => self.command(dot),
             query => {
                 self.served += 1;
-                match self.service.execute_on(&self.current, query) {
-                    Ok(resp) => Frame::Ok(resp.output),
+                let opts = RequestOpts {
+                    engine: Some(self.engine),
+                    trace: self.analyze,
+                    ..Default::default()
+                };
+                match self.service.execute_opts(&self.current, query, opts) {
+                    Ok(resp) => Frame::Ok(self.reply(resp)),
                     Err(e @ ServiceError::ShuttingDown) => return ControlFlow::Break(Some(err(e))),
                     Err(e) => err(e),
                 }
             }
         };
         ControlFlow::Continue(frame)
+    }
+
+    /// The `OK` payload for one answered query: its output, then the
+    /// operator trace under `.analyze` and the counters line under `.stats`.
+    fn reply(&self, resp: Response) -> String {
+        let mut out = resp.output;
+        if let Some(trace) = &resp.trace {
+            out.push('\n');
+            out.push_str(tlc::render_trace(trace).trim_end());
+        }
+        if self.stats {
+            let s = &resp.stats;
+            let counters = match self.engine {
+                Engine::Nav => format!("{} nodes visited, {} tuples", s.nodes_inspected, s.trees_built),
+                _ => format!(
+                    "plan cache {}, {} pattern matches, {} match-cache hits, {} probes, {} nodes inspected, \
+                     {} candidate fetches, {} structural-join comparisons",
+                    if resp.cache_hit { "hit" } else { "miss" },
+                    s.pattern_matches,
+                    s.match_cache_hits,
+                    s.probes,
+                    s.nodes_inspected,
+                    s.candidate_fetches,
+                    s.struct_cmps
+                ),
+            };
+            out.push_str(&format!("\n-- {counters}, {:?}", resp.total_time));
+        }
+        out
     }
 
     /// Writes `frame` in wire format, `OK` frames through the session's
@@ -305,6 +363,21 @@ impl Session {
         let args: Vec<&str> = words.collect();
         let service = &self.service;
         match (cmd, args.as_slice()) {
+            (".engine", []) => Frame::Ok(format!("engine: {}", self.engine.name())),
+            (".engine", [name]) => match name.parse() {
+                Ok(engine) => {
+                    self.engine = engine;
+                    Frame::Ok(format!("engine: {}", self.engine.name()))
+                }
+                Err(e) => err(e),
+            },
+            (".engine", _) => err("usage: .engine [tlc|opt|costed|gtp|tax|nav]"),
+            (".stats" | ".analyze", []) => {
+                let toggle = if cmd == ".stats" { &mut self.stats } else { &mut self.analyze };
+                *toggle = !*toggle;
+                Frame::Ok(format!("{}: {}", &cmd[1..], if *toggle { "on" } else { "off" }))
+            }
+            (".stats" | ".analyze", _) => err(format!("usage: {cmd}")),
             (".open", [name, file]) => match service.open(name, Path::new(file)) {
                 Ok(entry) => {
                     self.current = name.to_string();
@@ -378,7 +451,7 @@ impl Session {
             },
             (".explain", _) => match dot[cmd.len()..].trim_start() {
                 "" => err("usage: .explain <query>"),
-                query => match service.explain(&self.current, query) {
+                query => match service.explain(&self.current, self.engine, query) {
                     Ok(report) => Frame::Ok(report),
                     Err(e) => err(e),
                 },

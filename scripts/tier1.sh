@@ -81,23 +81,38 @@ grep -q 'restored 1 database(s) from manifest' "$restart_out"
 grep -q 'tiny: epoch 2' "$restart_out"
 echo "tier1: update + manifest smoke test passed"
 
-# Shell smoke: tlc-shell answers its catalog and update commands through
-# the protocol's session on an in-process service, so an update at the
-# prompt must print the protocol's commit line (with carry counts), the
-# next local query must see the inserted fragment, and `.metrics` must
-# report the commit per database.
+# Shell smoke: tlc-shell answers every prompt line other than its own
+# .save/.check/.queries/.bench/.serve/.help through the protocol's session
+# on an in-process service. So a prompt query warms the service's caches,
+# an update at the prompt must print the protocol's commit line with
+# nonzero carry counts, the next prompt query must see the inserted
+# fragment, and `.metrics` must count the three prompt queries and report
+# the commit per database.
 shell_out="$smoke_dir/shell.txt"
 {
     printf '.open tiny %s\n' "$tiny"
+    printf 'FOR $p IN document("auction.xml")//person RETURN $p/name;\n'
     printf 'FOR $n IN document("auction.xml")//note RETURN $n;\n'
     printf '.insert auction.xml 32 <note>shell</note>\n'
     printf 'FOR $n IN document("auction.xml")//note RETURN $n;\n'
     printf '.metrics\n'
     printf '.quit\n'
 } | ./target/release/tlc-shell --factor 0.001 > "$shell_out" 2>/dev/null
-grep -Eq 'updated tiny: epoch 1, \+1/-0 node\(s\), [0-9]+ plan\(s\) and [0-9]+ match entr\(ies\) carried' "$shell_out"
+grep -Eq 'updated tiny: epoch 1, \+1/-0 node\(s\), [1-9][0-9]* plan\(s\) and [1-9][0-9]* match entr\(ies\) carried' "$shell_out"
 grep -q '<note>shell</note>' "$shell_out"
+grep -q 'requests: 3 ok' "$shell_out"
 grep -q 'db tiny: 1 update(s)' "$shell_out"
+# The same session settings over the wire: `.engine` and `.stats` on a
+# tlc-serve connection append the counters line to the answer.
+wire_out="$smoke_dir/wire.txt"
+{
+    printf '.engine tax\n'
+    printf '.stats\n'
+    printf 'FOR $p IN document("auction.xml")//person RETURN $p/name\n'
+    printf '.quit\n'
+} | ./target/release/tlc-serve --factor 0.001 > "$wire_out" 2>/dev/null
+grep -q 'engine: TAX' "$wire_out"
+grep -Eq '^-- plan cache miss, [0-9]+ pattern matches, .* [1-9][0-9]* nodes inspected, ' "$wire_out"
 echo "tier1: shell smoke test passed"
 
 # Mixed read/write experiment: every read byte-checked against a

@@ -1,8 +1,11 @@
 //! `protocol::Session` is the one command interpreter behind both
 //! `tlc-serve` connections and `tlc-shell`'s prompt: driving it directly
-//! must answer exactly what `serve_connection` writes for the same lines,
-//! and sessions sharing one service must see each other's commits.
+//! must answer exactly what `serve_connection` writes for the same lines
+//! (the per-session `.engine`, `.stats` and `.analyze` included), sessions
+//! sharing one service must see each other's commits, and each engine must
+//! answer from plans of its own.
 
+use baselines::Engine;
 use service::protocol::{read_response, serve_connection, Frame, Session};
 use service::{Service, ServiceConfig};
 use std::io::BufReader;
@@ -132,6 +135,16 @@ fn session_answers_what_serve_connection_writes() {
 .catalog
 .bogus
 {PEOPLE}
+.engine tax
+{PEOPLE}
+.stats
+{PEOPLE}
+.analyze
+{PEOPLE}
+.engine nav
+{PEOPLE}
+.engine bogus
+.engine
 .metrics
 .quit
 {PEOPLE}
@@ -163,7 +176,25 @@ fn session_answers_what_serve_connection_writes() {
     assert!(text(25).starts_with("dropped tiny:"), "{}", text(25));
     assert!(matches!(&direct[27], Frame::Err(m) if m.contains("default database")));
     assert!(text(29).contains("catalog: 2 database(s)"), "{}", text(29));
-    assert!(text(32).contains("db tiny: 3 update(s)"), "{}", text(32));
+    // The engine and the two toggles are session settings: TAX answers
+    // the text TLC answered, from its own plan-cache entry, `.stats`
+    // appends the counters line and `.analyze` the operator trace, where
+    // the chains the earlier TAX runs cached are marked as hits.
+    assert_eq!(text(32), "engine: TAX");
+    assert_eq!(text(33), text(31));
+    assert!(text(35).starts_with(text(31)), "{}", text(35));
+    assert!(text(35).contains("\n-- plan cache hit, "), "{}", text(35));
+    assert!(text(37).contains("own time"), "{}", text(37));
+    assert!(text(37).contains(tlc::CACHE_HIT_MARK), "{}", text(37));
+    assert!(text(37).contains("\n-- plan cache hit, "), "{}", text(37));
+    assert_eq!(text(38), "engine: NAV");
+    let nav = text(39).strip_prefix(text(31)).unwrap_or_else(|| panic!("{}", text(39)));
+    assert!(!nav.contains("own time"), "NAV runs no plan: {nav}");
+    assert!(nav.starts_with("\n-- ") && !nav.starts_with("\n-- 0 nodes"), "{nav}");
+    assert!(nav.contains(" nodes visited, "), "{nav}");
+    assert!(matches!(&direct[40], Frame::Err(m) if m.contains("bogus")));
+    assert_eq!(text(41), "engine: NAV");
+    assert!(text(42).contains("db tiny: 3 update(s)"), "{}", text(42));
 }
 
 /// The `OK` payload `session` answers for `line`.
@@ -202,4 +233,28 @@ fn sessions_sharing_a_service_see_each_others_commits() {
     assert_eq!(reference(NOTES).unwrap(), "<note>shared</note>");
     assert_eq!(ask(&mut reader, PEOPLE), reference(PEOPLE).unwrap());
     assert_eq!(ask(&mut reader, PEOPLE), people);
+}
+
+#[test]
+fn each_engine_answers_from_its_own_plans() {
+    let svc = small_service();
+    let db = svc.database();
+    let mut session = Session::new(Arc::clone(&svc));
+    let mut hits = Vec::new();
+    for engine in [Engine::Tlc, Engine::Tax, Engine::Tlc] {
+        assert_eq!(
+            ask(&mut session, &format!(".engine {}", engine.name())),
+            format!("engine: {}", engine.name())
+        );
+        let before = svc.cache_stats().hits;
+        assert_eq!(ask(&mut session, PEOPLE), baselines::run(engine, PEOPLE, &db).unwrap());
+        hits.push(svc.cache_stats().hits - before);
+    }
+    // TAX compiles its own plan instead of reusing TLC's; the second TLC
+    // request finds the first one's.
+    assert_eq!(hits, [0, 0, 1]);
+    assert_eq!(svc.cache_stats().len, 2);
+    let metrics = ask(&mut session, ".metrics");
+    assert!(metrics.contains("requests: 3 ok,"), "{metrics}");
+    assert!(metrics.contains("plan cache: 1 hits / 3 lookups"), "{metrics}");
 }
